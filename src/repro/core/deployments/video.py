@@ -25,6 +25,7 @@ from repro.platforms.base import FunctionSpec
 from repro.storage.payload import KB, MB
 from repro.workloads.video import (
     DetectionModel,
+    FaceDetector,
     SyntheticVideo,
     VideoPipeline,
     chunk_video,
@@ -65,12 +66,10 @@ class VideoWorkload:
         """Real detection on a small sample of a chunk's frames."""
         stop = min(start_frame + self.detect_frames_per_chunk,
                    self.video.n_frames)
-        sample = chunk_video(self.video, self.video.n_frames)[0]
+        detector = FaceDetector(self.model)
         detections: List[tuple] = []
         for index in range(start_frame, stop):
-            frame = self.video.frame(index)
-            from repro.workloads.video.facedetect import FaceDetector
-            for row, col in FaceDetector(self.model).detect_frame(frame):
+            for row, col in detector.detect_frame(self.video.frame(index)):
                 detections.append((index, row, col))
         return detections
 

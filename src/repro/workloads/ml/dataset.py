@@ -13,6 +13,7 @@ meaningful comparison, not noise-fitting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -87,9 +88,13 @@ class Frame:
         names = self.numeric_columns
         return np.column_stack([self.columns[name] for name in names])
 
-    @property
+    @cached_property
     def payload_size(self) -> int:
-        """Approximate serialized size (drives payload-limit behaviour)."""
+        """Approximate serialized size (drives payload-limit behaviour).
+
+        Computed once: a frame's columns are never mutated (:meth:`take`
+        builds a new frame).
+        """
         total = 0
         for values in self.columns.values():
             if np.issubdtype(values.dtype, np.number):

@@ -44,11 +44,22 @@ def integral_image(frame: np.ndarray) -> np.ndarray:
     return table
 
 
-def box_sum(table: np.ndarray, top: int, left: int, height: int,
-            width: int) -> float:
-    """Sum of the frame region ``[top:top+height, left:left+width]``."""
-    return float(table[top + height, left + width] - table[top, left + width]
-                 - table[top + height, left] + table[top, left])
+def box_sums(table: np.ndarray, tops: range, lefts: range, height: int,
+             width: int) -> np.ndarray:
+    """Sums of the frame regions ``[top:top+height, left:left+width]`` for
+    every ``top`` in ``tops`` and ``left`` in ``lefts``, as a
+    ``(len(tops), len(lefts))`` array.
+
+    Each sum is ``((bottom_right - top_right) - bottom_left) + top_left``
+    in float64, the order of a scalar summed-area lookup, so every entry
+    equals the scalar sum bit for bit.  The grids are taken as strided
+    views of ``table``, not copies.
+    """
+    upper = table[tops.start:tops.stop:tops.step]
+    lower = table[tops.start + height:tops.stop + height:tops.step]
+    left = slice(lefts.start, lefts.stop, lefts.step)
+    right = slice(lefts.start + width, lefts.stop + width, lefts.step)
+    return lower[:, right] - upper[:, right] - lower[:, left] + upper[:, left]
 
 
 class FaceDetector:
@@ -63,29 +74,34 @@ class FaceDetector:
         self.model = model
 
     def detect_frame(self, frame: np.ndarray) -> List[Tuple[int, int]]:
-        """Detected (row, col) face positions in one frame."""
+        """Detected (row, col) face positions in one frame.
+
+        Each window size is tested over its whole stride grid at once;
+        hits are collected top row first, left to right.
+        """
         table = integral_image(frame)
         height, width = frame.shape
+        model = self.model
         hits: List[Tuple[int, int, int]] = []
-        for window in self.model.window_sizes:
+        for window in model.window_sizes:
             if window > min(height, width):
                 continue
-            area = float(window * window)
-            for top in range(0, height - window + 1, self.model.stride):
-                for left in range(0, width - window + 1, self.model.stride):
-                    mean = box_sum(table, top, left, window, window) / area
-                    if mean < self.model.brightness_threshold:
-                        continue
-                    band = max(2, window // 5)
-                    eye_top = top + window // 4
-                    eye_mean = box_sum(table, eye_top, left, band,
-                                       window) / (band * window)
-                    cheek_top = top + window // 2
-                    cheek_mean = box_sum(table, cheek_top, left, band,
-                                         window) / (band * window)
-                    if (cheek_mean - eye_mean
-                            >= self.model.eye_contrast_threshold):
-                        hits.append((top, left, window))
+            stride = model.stride
+            tops = range(0, height - window + 1, stride)
+            lefts = range(0, width - window + 1, stride)
+            band = max(2, window // 5)
+            eye_tops = range(window // 4, tops.stop + window // 4, stride)
+            cheek_tops = range(window // 2, tops.stop + window // 2, stride)
+            mean = box_sums(table, tops, lefts, window, window) / float(
+                window * window)
+            eye_mean = box_sums(table, eye_tops, lefts, band,
+                                window) / (band * window)
+            cheek_mean = box_sums(table, cheek_tops, lefts, band,
+                                  window) / (band * window)
+            face = ((mean >= model.brightness_threshold)
+                    & (cheek_mean - eye_mean >= model.eye_contrast_threshold))
+            for row, col in zip(*np.nonzero(face)):
+                hits.append((tops[row], lefts[col], window))
         return _suppress_overlaps(hits)
 
     def detect_chunk(self, chunk: VideoChunk) -> List[Tuple[int, int, int]]:

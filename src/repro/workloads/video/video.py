@@ -54,6 +54,8 @@ class SyntheticVideo:
         #: modeled encoded size per frame (raw grayscale by default)
         self.bytes_per_frame = bytes_per_frame or (height * width)
         self._ground_truth: List[PlantedFace] = []
+        #: planted faces per frame index, each list in ground-truth order
+        self._faces_by_frame: List[List[PlantedFace]] = []
         self._plant_faces()
 
     @property
@@ -67,19 +69,22 @@ class SyntheticVideo:
 
     def faces_in_range(self, start: int, stop: int) -> List[PlantedFace]:
         """Planted faces within frames ``[start, stop)``."""
-        return [face for face in self._ground_truth
-                if start <= face.frame_index < stop]
+        return [face
+                for faces in self._faces_by_frame[max(start, 0):max(stop, 0)]
+                for face in faces]
 
     def _plant_faces(self) -> None:
         rng = np.random.default_rng(self.seed)
         for frame_index in range(self.n_frames):
             count = rng.poisson(self.faces_per_frame)
+            faces = []
             for _ in range(count):
                 size = int(rng.integers(16, 25))
                 row = int(rng.integers(0, self.height - size))
                 col = int(rng.integers(0, self.width - size))
-                self._ground_truth.append(
-                    PlantedFace(frame_index, row, col, size))
+                faces.append(PlantedFace(frame_index, row, col, size))
+            self._faces_by_frame.append(faces)
+            self._ground_truth.extend(faces)
 
     def frame(self, index: int) -> np.ndarray:
         """Render frame ``index`` (background noise + planted faces)."""
@@ -88,7 +93,7 @@ class SyntheticVideo:
         rng = np.random.default_rng((self.seed, index))
         frame = rng.normal(loc=0.25, scale=0.05,
                            size=(self.height, self.width))
-        for face in self.faces_in_range(index, index + 1):
+        for face in self._faces_by_frame[index]:
             _draw_face(frame, face)
         return np.clip(frame, 0.0, 1.0)
 

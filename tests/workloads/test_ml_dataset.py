@@ -68,6 +68,23 @@ def test_frame_payload_size_scales_with_rows():
     assert large.payload_size > 5 * small.payload_size
 
 
+def test_frame_payload_size_is_pinned_and_take_gets_its_own():
+    features = make_car_pricing_dataset(200, seed=0).features
+    assert features.payload_size == 38464
+    assert features.take(np.array([0, 5, 10])).payload_size == 985
+    assert features.take(np.arange(200)).payload_size == 38464
+    assert features.payload_size == 38464
+
+
+def test_frame_payload_size_is_computed_once():
+    features = make_car_pricing_dataset(200, seed=0).features
+    first = features.payload_size
+    # A frame is never mutated in place; doing it here shows the size is
+    # not walked again on the second read.
+    features.columns["make"] = np.array(["x" * 50] * 200, dtype=object)
+    assert features.payload_size == first
+
+
 def test_train_test_split_partitions():
     dataset = make_car_pricing_dataset(100, seed=0)
     train, test = train_test_split(dataset, test_fraction=0.2, seed=1)

@@ -47,6 +47,22 @@ def test_frame_index_bounds(video):
         video.frame(-1)
 
 
+def test_ground_truth_is_in_frame_order(video):
+    frames = [face.frame_index for face in video.ground_truth]
+    assert frames == sorted(frames)
+    assert video.faces_in_range(0, video.n_frames) == video.ground_truth
+
+
+@given(start=st.integers(-5, 30), stop=st.integers(-5, 30))
+@settings(max_examples=60, deadline=None)
+def test_face_index_agrees_with_ground_truth_scan(start, stop):
+    video = SyntheticVideo(n_frames=24, height=72, width=128, seed=3,
+                           faces_per_frame=1.0)
+    assert video.faces_in_range(start, stop) == [
+        face for face in video.ground_truth
+        if start <= face.frame_index < stop]
+
+
 def test_total_bytes_models_frame_count():
     video = SyntheticVideo(n_frames=100, height=72, width=128,
                            bytes_per_frame=50 * KB)
