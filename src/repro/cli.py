@@ -43,7 +43,7 @@ from typing import List, Optional
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import JournalError, SweepJournal
 from repro.core.costs import monthly_projection
-from repro.core.parallel import CampaignSpec, ParallelRunner
+from repro.core.parallel import CampaignSpec
 from repro.core.persistence import save_results
 from repro.core.metrics import percentile
 from repro.core.report import render_bars, render_table
@@ -168,12 +168,6 @@ def _cache(args: argparse.Namespace) -> Optional[ResultCache]:
     return ResultCache(getattr(args, "cache_dir", None))
 
 
-def _runner(args: argparse.Namespace) -> ParallelRunner:
-    """The campaign runner the parsed global options ask for."""
-    return ParallelRunner(workers=getattr(args, "jobs", 1),
-                          cache=_cache(args))
-
-
 def _check_resume_flags(args: argparse.Namespace) -> None:
     """``--resume`` without ``--journal`` is an error, not a no-op.
 
@@ -205,26 +199,21 @@ def _interrupted_exit(journal) -> None:
 
 
 def _run_specs(args: argparse.Namespace, specs) -> list:
-    """Run a command's specs, supervised when the new flags ask for it.
+    """Run a command's specs on the :class:`SupervisedRunner`.
 
-    Without ``--journal``/``--spec-timeout``/``--max-worker-restarts``
-    this is exactly the old ``ParallelRunner`` path.  With any of them,
-    a :class:`SupervisedRunner` executes the sweep: completed outcomes
-    are journaled immediately, failures are reported per spec (exit 1)
-    instead of discarding finished work, and SIGINT/SIGTERM leave a
-    resumable journal behind (exit 130).
+    ``-j`` sets its worker processes, ``--journal`` checkpoints each
+    completed outcome the moment it exists, and ``--spec-timeout`` /
+    ``--max-worker-restarts`` bound stuck and crashing workers.  Failed
+    specs are reported one by one (exit 1) once their siblings have
+    completed, and SIGINT/SIGTERM exit 130, leaving a resumable journal
+    behind when there is one.
     """
     journal = getattr(args, "journal", None)
-    timeout = getattr(args, "spec_timeout", None)
-    restarts = getattr(args, "max_worker_restarts", None)
     _check_resume_flags(args)
-    if journal is None and timeout is None and restarts is None:
-        return _runner(args).run(specs)
-
     runner = SupervisedRunner(
         workers=getattr(args, "jobs", 1), cache=_cache(args),
-        journal=journal, spec_timeout_s=timeout,
-        max_restarts=restarts if restarts is not None else 2)
+        journal=journal, spec_timeout_s=getattr(args, "spec_timeout", None),
+        max_restarts=getattr(args, "max_worker_restarts", 2))
     try:
         result = runner.run(specs, argv=getattr(args, "argv", None),
                             resume=getattr(args, "resume", False))
@@ -732,7 +721,6 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
     _check_resume_flags(args)
     journal = getattr(args, "journal", None)
     seed = args.fuzz_seed if args.fuzz_seed is not None else args.seed
-    restarts = getattr(args, "max_worker_restarts", None)
     try:
         result = fuzz_mod.run_fuzz(
             seed=seed, budget=args.budget,
@@ -744,7 +732,7 @@ def cmd_fuzz_run(args: argparse.Namespace) -> int:
             argv=getattr(args, "argv", None),
             resume=getattr(args, "resume", False),
             spec_timeout_s=getattr(args, "spec_timeout", None),
-            max_restarts=restarts if restarts is not None else 2,
+            max_restarts=args.max_worker_restarts,
             log=lambda line: print(line, file=sys.stderr))
     except JournalError as error:
         raise SystemExit(f"repro: {error}") from error
@@ -898,8 +886,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="NAME,NAME,...",
         help="restrict variants to these platform backends "
              f"(default: all of {list(backend_names())})")
-    # Crash-safety flags shared by every campaign command.  Any of them
-    # switches the sweep onto the SupervisedRunner.
+    # Crash-safety flags shared by every campaign command; they
+    # configure the SupervisedRunner every campaign runs on.
     supervise_opts = argparse.ArgumentParser(add_help=False)
     supervise_opts.add_argument(
         "--journal", metavar="DIR", default=None,
@@ -915,10 +903,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="kill and retry any campaign still running after this "
              "many wall-clock seconds")
     supervise_opts.add_argument(
-        "--max-worker-restarts", type=_nonnegative_int, default=None,
+        "--max-worker-restarts", type=_nonnegative_int, default=2,
         metavar="N",
         help="restart budget per campaign after worker crashes, stalls "
-             "or timeouts (default 2)")
+             "or timeouts (default %(default)s)")
     commands = parser.add_subparsers(dest="command", required=True)
 
     latency = commands.add_parser(

@@ -177,10 +177,9 @@ class InvariantViolation(AssertionError):
     """A runtime invariant failed; carries the full evidence trail.
 
     Subclasses :class:`AssertionError` so test harnesses treat it as a
-    failed assertion, and deliberately none of the exception types the
-    :class:`~repro.core.parallel.ParallelRunner` swallows when degrading
-    from the process pool — a violation in a worker surfaces in the
-    parent verbatim.
+    failed assertion.  Raised in a worker process, it reaches the
+    parent as a :class:`~repro.core.parallel.SpecExecutionError` whose
+    message carries the violation text verbatim.
     """
 
     def __init__(self, violations: Tuple[CheckResult, ...],

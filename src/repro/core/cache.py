@@ -135,10 +135,13 @@ class ResultCache:
             return None
         try:
             document = json.loads(raw)
+            if not isinstance(document, dict):
+                raise ValueError("not a cache document")
             if document.get("format_version") != FORMAT_VERSION:
                 return None
             payload = document["outcome"]
-            if document.get("checksum") != payload_checksum(payload):
+            if not isinstance(payload, dict) or \
+                    document.get("checksum") != payload_checksum(payload):
                 raise ValueError("checksum mismatch")
             outcome = outcome_from_dict(payload, spec)
             outcome.cached = True

@@ -62,6 +62,9 @@ class SweepManifest:
     """The parsed, validated ``manifest.json`` of a sweep journal."""
 
     def __init__(self, document: Dict[str, Any]):
+        if not isinstance(document, dict):
+            raise JournalError(
+                f"not a sweep manifest: a JSON {type(document).__name__}")
         if document.get("kind") != "sweep-manifest":
             raise JournalError(
                 f"not a sweep manifest: kind={document.get('kind')!r}")
@@ -241,7 +244,8 @@ class SweepJournal:
         for path in sorted(self.entries_dir.glob("*.json")):
             try:
                 document = json.loads(path.read_text())
-                if document.get("kind") != "journal-entry" or \
+                if not isinstance(document, dict) or \
+                        document.get("kind") != "journal-entry" or \
                         document.get("format_version") != FORMAT_VERSION:
                     raise ValueError("not a journal entry")
                 index = document["index"]
@@ -249,7 +253,8 @@ class SweepJournal:
                         document["key"] != keys[index]:
                     raise ValueError("entry disagrees with manifest")
                 payload = document["outcome"]
-                if document["checksum"] != payload_checksum(payload):
+                if not isinstance(payload, dict) or \
+                        document["checksum"] != payload_checksum(payload):
                     raise ValueError("checksum mismatch")
                 outcome = outcome_from_dict(payload, specs[index])
                 outcome.cached = True

@@ -16,10 +16,10 @@ into a search:
   hedging stacks) are reachable; every draw is reproducible from
   ``(seed, index)`` alone.
 * :func:`check_spec` — the differential oracle: executes one spec under
-  the invariant auditor across the serial, pooled, cache-replay and
-  persistence paths (plus a supervised cross-process reference when the
-  session provides one) and asserts bit-identical outcome checksums,
-  typed-exception parity, and spec round-trip exactness through
+  the invariant auditor across the serial (this process), pool (a
+  worker process), cache-replay and persistence paths and asserts
+  bit-identical outcome checksums, typed-exception parity, and spec
+  round-trip exactness through
   :func:`~repro.core.persistence.spec_to_dict` /
   :func:`~repro.core.persistence.spec_from_dict`.
 * :func:`shrink` — greedily minimizes a failing spec (drop fault
@@ -35,8 +35,9 @@ into a search:
   :class:`~repro.core.supervise.SupervisedRunner` with an optional
   :class:`~repro.core.checkpoint.SweepJournal`, so fuzzing itself is
   crash-safe, SIGINT-drainable and resumable with the same journal
-  plumbing the campaign commands use.  Same seed + budget ⇒ same specs,
-  same verdicts, same corpus.
+  plumbing the campaign commands use.  Those worker-process outcomes
+  are the oracle's pool path, so each spec runs once per path.  Same
+  seed + budget ⇒ same specs, same verdicts, same corpus.
 
 Fingerprints are deliberately *stable* strings (no spec-dependent
 values), so the shrinker can require "still fails the same way" across
@@ -104,7 +105,8 @@ VARIANT_BACKENDS: Dict[str, str] = {
     "GCP-Func": "gcp", "GCP-Flows": "gcp",
 }
 
-#: Differential paths the oracle compares, in report order.
+#: Differential paths the oracle compares, in report order.  ``pool``
+#: is the one that crosses a process boundary.
 PATHS = ("serial", "pool", "cache", "persistence")
 
 
@@ -405,7 +407,7 @@ def _outcome_checksum(outcome: CampaignOutcome) -> str:
 
 
 def check_spec(spec: CampaignSpec,
-               reference: Optional[PathResult] = None) -> FuzzVerdict:
+               pool: Optional[PathResult] = None) -> FuzzVerdict:
     """Differentially execute ``spec`` and return the oracle's verdict.
 
     Paths checked:
@@ -413,9 +415,9 @@ def check_spec(spec: CampaignSpec,
     ``serial``
         :func:`execute_spec` in this process.
     ``pool``
-        :class:`ParallelRunner` — the guarded batch path (single specs
-        execute in-process; the cross-*process* check is the
-        ``supervised`` reference a fuzz session passes in).
+        The spec in a worker process: ``pool`` when the caller already
+        observed it there (a fuzz session's supervised run), otherwise
+        a one-worker :class:`ParallelRunner` run.
     ``cache``
         The serial outcome written to and re-read from a fresh
         :class:`ResultCache` (content-addressed replay).
@@ -424,9 +426,7 @@ def check_spec(spec: CampaignSpec,
         :func:`outcome_from_dict`.
 
     Plus, always, spec round-trip exactness through
-    :func:`spec_to_dict`/:func:`spec_from_dict`.  A ``reference``
-    (typically the supervised runner's cross-process observation) joins
-    the comparison as one more path.
+    :func:`spec_to_dict`/:func:`spec_from_dict`.
     """
     findings: List[str] = []
     results: List[PathResult] = []
@@ -458,14 +458,15 @@ def check_spec(spec: CampaignSpec,
                                   checksum=payload_checksum(payload)))
 
     # -- pool -------------------------------------------------------------------
-    try:
-        pool_outcome = ParallelRunner(workers=1).run([spec])[0]
-    except Exception as error:
-        results.append(PathResult("pool",
-                                  error=_error_fingerprint(error)))
-    else:
-        results.append(PathResult("pool",
-                                  checksum=_outcome_checksum(pool_outcome)))
+    if pool is None:
+        try:
+            pool_outcome = ParallelRunner(workers=1).run([spec])[0]
+        except Exception as error:
+            pool = PathResult("pool", error=_error_fingerprint(error))
+        else:
+            pool = PathResult("pool",
+                              checksum=_outcome_checksum(pool_outcome))
+    results.append(pool)
 
     # -- cache + persistence (only meaningful given a serial outcome) -----------
     if serial_outcome is not None:
@@ -489,9 +490,6 @@ def check_spec(spec: CampaignSpec,
             findings.append("roundtrip:outcome-persistence")
             results.append(PathResult("persistence",
                                       error=_error_fingerprint(error)))
-
-    if reference is not None:
-        results.append(reference)
 
     # -- compare ----------------------------------------------------------------
     serial_result = results[0]
@@ -794,10 +792,10 @@ def run_fuzz(seed: int, budget: int,
     """One deterministic fuzz session.
 
     Draws ``budget`` specs from ``seed``'s stream, executes them under
-    :class:`SupervisedRunner` (per-spec worker processes — the
-    cross-process leg of the differential) with an optional crash-safe
-    journal, differentially checks every executed spec, shrinks each
-    finding to a minimal reproducer and writes it to ``corpus_dir``.
+    :class:`SupervisedRunner` (worker processes — the oracle's pool
+    path) with an optional crash-safe journal, differentially checks
+    every executed spec, shrinks each finding to a minimal reproducer
+    and writes it to ``corpus_dir``.
 
     Determinism: with no time budget, two sessions with the same
     ``(seed, budget)`` produce identical spec sequences, identical
@@ -852,19 +850,16 @@ def run_fuzz(seed: int, budget: int,
     for index in range(executed_through):
         spec = specs[index]
         outcome = outcomes[index]
+        error = errors.get(index)
         if outcome is not None:
-            reference = PathResult("supervised",
-                                   checksum=_outcome_checksum(outcome))
+            pool = PathResult("pool", checksum=_outcome_checksum(outcome))
+        elif isinstance(error, SpecExecutionError):
+            pool = PathResult("pool", error=_error_fingerprint(error))
         else:
-            error = errors.get(index)
-            if not isinstance(error, SpecExecutionError):
-                # Environmental failure (WorkerCrash/SpecTimeout): not
-                # a deterministic observation, nothing to differ with.
-                reference = None
-            else:
-                reference = PathResult(
-                    "supervised", error=_error_fingerprint(error))
-        verdict = check_spec(spec, reference=reference)
+            # Environmental failure (WorkerCrash/SpecTimeout): not a
+            # deterministic observation; check_spec runs its own.
+            pool = None
+        verdict = check_spec(spec, pool=pool)
         verdict.index = index
         result.verdicts.append(verdict)
         if not verdict.ok:

@@ -13,11 +13,11 @@ independence explicit:
   :class:`Testbed` from the spec and replays it.  Running a spec in the
   parent process, a worker process, or from a cache file yields
   bit-identical results.
-* :class:`ParallelRunner` — schedules a list of specs across a
-  ``ProcessPoolExecutor`` (optionally consulting a
-  :class:`repro.core.cache.ResultCache`) and streams the outcomes back
-  in spec order, drop-in equivalent to driving the serial
-  :class:`ExperimentRunner` yourself.
+* :class:`ParallelRunner` — runs a list of specs on the supervised
+  runner (:class:`repro.core.supervise.SupervisedRunner`, optionally
+  consulting a :class:`repro.core.cache.ResultCache`) and returns the
+  outcomes in spec order, equivalent to driving the serial
+  :class:`ExperimentRunner` yourself, or raises the first failure.
 
 Example
 -------
@@ -34,13 +34,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import multiprocessing
-import os
-import pickle
-import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.costs import CostReport, cost_report
 from repro.core.deployments import (
@@ -85,8 +80,8 @@ class SpecExecutionError(SweepError):
         self.spec_hash = spec.spec_hash()
         self.message = message
         self.traceback_text = traceback_text
-        #: the original exception when it was raised in this process or
-        #: unpickled from a worker (not preserved across re-pickling)
+        #: the original exception when the spec ran in this process
+        #: (not preserved across pickling)
         self.cause = cause
 
     @property
@@ -103,7 +98,7 @@ class SpecExecutionError(SweepError):
     def __reduce__(self):
         # Rebuild from args alone: ``cause`` is whatever the campaign
         # raised and need not be picklable, so it must not ride along in
-        # ``__dict__`` when a worker ships this failure to its parent.
+        # ``__dict__`` when this failure crosses a process boundary.
         return (type(self),
                 (self.spec, self.message, self.traceback_text))
 
@@ -415,133 +410,30 @@ def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
                            audit=report)
 
 
-def _guarded_execute(
-        spec: CampaignSpec) -> Union[CampaignOutcome, SpecExecutionError]:
-    """:func:`execute_spec`, but a raising spec becomes a typed failure
-    value so sibling specs in the same batch still complete."""
-    try:
-        return execute_spec(spec)
-    except Exception as error:
-        return SpecExecutionError(spec, f"{type(error).__name__}: {error}",
-                                  traceback.format_exc(), cause=error)
-
-
-def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
-    """Memoize the real-compute workload artifacts in this process.
-
-    Worker processes are forked where the platform allows it, so paying
-    for dataset generation and model training once here means every
-    worker inherits the memo instead of re-training per process.
-    """
-    from repro.core.deployments.ml import ml_workload
-    from repro.core.deployments.video import video_workload
-
-    for spec in specs:
-        if spec.workload in ("ml-training", "ml-inference"):
-            ml_workload(spec.scale, spec.workload_seed)
-        else:
-            video_workload(spec.fanout, spec.workload_seed)
-
-
 class ParallelRunner:
-    """Drives a batch of campaign specs, in parallel when it helps.
+    """The strict contract over :class:`~repro.core.supervise.SupervisedRunner`.
 
-    Results come back as :class:`CampaignOutcome` objects in spec order
-    and are bit-identical to running each spec serially through
-    :class:`ExperimentRunner` (asserted by
-    ``tests/core/test_parallel.py``).  With a ``cache``, completed specs
-    are reused across invocations instead of re-simulated.
-
-    ``workers`` defaults to the machine's CPU count; ``workers <= 1``
-    runs everything serially in-process (no executor overhead).  If the
-    process pool cannot be used (sandboxed interpreter, unpicklable
-    override values), the runner falls back to the serial path rather
-    than failing the campaign.
+    ``run`` returns :class:`CampaignOutcome` objects in spec order,
+    bit-identical to running each spec serially through
+    :class:`ExperimentRunner` (asserted by ``tests/core/test_parallel.py``).
+    If a spec fails, it raises the first failure, once every healthy
+    spec has completed (and, with a ``cache``, been cached), so a re-run
+    after the fix only pays for the broken ones.  ``workers`` defaults
+    to the machine's CPU count.
     """
 
     def __init__(self, workers: Optional[int] = None, cache: Any = None):
-        if workers is None:
-            workers = os.cpu_count() or 1
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self.workers = workers
-        self.cache = cache
+        # supervise imports this module, so its runner is imported late
+        from repro.core.supervise import SupervisedRunner
+        self.supervisor = SupervisedRunner(workers=workers, cache=cache)
 
     def run(self, specs: Sequence[CampaignSpec]) -> List[CampaignOutcome]:
-        specs = list(specs)
-        outcomes: List[Optional[CampaignOutcome]] = [None] * len(specs)
-
-        misses: List[int] = []
-        for index, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
-            if hit is not None:
-                hit.cached = True
-                outcomes[index] = hit
-            else:
-                misses.append(index)
-
-        if misses:
-            computed = self._execute([specs[i] for i in misses])
-            failures: List[SpecExecutionError] = []
-            for index, outcome in zip(misses, computed):
-                if isinstance(outcome, SpecExecutionError):
-                    failures.append(outcome)
-                    continue
-                outcomes[index] = outcome
-                if self.cache is not None:
-                    self.cache.put(outcome.spec, outcome)
-            if failures:
-                # Every healthy spec has already completed (and been
-                # cached), so a re-run after the fix only pays for the
-                # broken ones.  SupervisedRunner offers the no-raise
-                # variant of this contract (PartialSweepResult).
-                raise failures[0] from failures[0].cause
-        return outcomes  # type: ignore[return-value]
+        return self.supervisor.run(specs).raise_if_failed()
 
     def run_campaigns(self,
                       specs: Sequence[CampaignSpec]) -> List[CampaignResult]:
         """Like :meth:`run` but returns just the campaign results."""
         return [outcome.campaign for outcome in self.run(specs)]
-
-    # -- internals --------------------------------------------------------------
-
-    def _execute(self, specs: Sequence[CampaignSpec],
-                 ) -> List[Union[CampaignOutcome, SpecExecutionError]]:
-        if self.workers <= 1 or len(specs) <= 1:
-            return [_guarded_execute(spec) for spec in specs]
-        try:
-            return self._execute_pool(specs)
-        except (BrokenExecutor, OSError, ValueError, TypeError,
-                AttributeError, ImportError, pickle.PicklingError):
-            # Process pools are a perf optimization, never a correctness
-            # requirement: degrade to the serial path.
-            return [_guarded_execute(spec) for spec in specs]
-
-    def _execute_pool(self, specs: Sequence[CampaignSpec],
-                      ) -> List[Union[CampaignOutcome, SpecExecutionError]]:
-        _prewarm_workloads(specs)
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None)
-        max_workers = min(self.workers, len(specs))
-        results: List[Union[CampaignOutcome, SpecExecutionError]] = []
-        with ProcessPoolExecutor(max_workers=max_workers,
-                                 mp_context=context) as pool:
-            futures = [pool.submit(execute_spec, spec) for spec in specs]
-            for spec, future in zip(specs, futures):
-                # One bad spec must not abort the whole pool: collect a
-                # typed, hash-bearing failure and keep draining.  Pool
-                # machinery faults (a broken executor, unpicklable spec
-                # payloads) still propagate so _execute can fall back.
-                try:
-                    results.append(future.result())
-                except (BrokenExecutor, pickle.PicklingError):
-                    raise
-                except Exception as error:
-                    results.append(SpecExecutionError(
-                        spec, f"{type(error).__name__}: {error}",
-                        traceback.format_exc(), cause=error))
-        return results
 
 
 def ml_training_specs(variants: Sequence[str], scale: str, iterations: int,

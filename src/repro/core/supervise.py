@@ -1,14 +1,18 @@
-"""Supervised sweep execution: the harness survives what it simulates.
+"""Supervised sweep execution: the one runner every batch of specs uses.
 
-:class:`~repro.core.parallel.ParallelRunner` assumes a well-behaved
-world — workers never die, specs never hang, nobody presses Ctrl-C.
-Long campaigns live in the other world.  :class:`SupervisedRunner` runs
-the same specs with a supervision layer wrapped around every worker:
+:class:`SupervisedRunner` executes a list of
+:class:`~repro.core.parallel.CampaignSpec` on worker processes and keeps
+the sweep alive through whatever happens to them.
+:class:`~repro.core.parallel.ParallelRunner` is its strict face: the
+same sweep, with the first failure raised instead of returned.
 
-* **Isolation** — each spec runs in its own worker process (fresh
-  ``multiprocessing.Process``, at most ``workers`` concurrent), so a
-  SIGKILL, OOM kill or segfault costs one attempt of one spec, never
-  the sweep.
+* **Long-lived workers** — up to ``workers`` forked processes, started
+  only when a spec needs one (a sweep served wholly from the cache or
+  the journal starts none).  Each takes specs over its pipe, one at a
+  time, until ``run`` returns; a process is replaced only when it dies,
+  stalls, passes its deadline or is killed by a :class:`ChaosPlan`.
+* **Isolation** — a SIGKILL, OOM kill or segfault costs one attempt of
+  one spec plus its worker process, never the sweep.
 * **Heartbeats** — every worker beats a shared timestamp from a
   background thread; a worker whose heart stops (stuck in a syscall,
   swapped to death) is detected and killed even if its wall-clock
@@ -16,11 +20,12 @@ the same specs with a supervision layer wrapped around every worker:
 * **Watchdog deadlines** — ``spec_timeout_s`` bounds each attempt's
   wall-clock time; a worker past its deadline is SIGKILLed and the spec
   becomes a :class:`SpecTimeout` (after restarts are exhausted).
-* **Bounded restarts** — crashed/stalled/timed-out specs are relaunched
+* **Bounded restarts** — crashed/stalled/timed-out specs are retried
   up to ``max_restarts`` times with capped exponential backoff.
   Deterministic *exceptions* (:class:`SpecExecutionError`) are never
-  retried: the simulation is a pure function of the spec, so the retry
-  would fail identically.
+  retried — the simulation is a pure function of the spec, so the retry
+  would fail identically — and the worker that raised one keeps
+  serving specs.
 * **Graceful degradation** — the sweep always finishes: the result is
   a :class:`PartialSweepResult` listing outcomes in spec order plus a
   typed failure record per spec that exhausted its restarts.
@@ -56,7 +61,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
-from typing import Any, Deque, Dict, List, Optional, Sequence, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.core.checkpoint import SweepJournal
 from repro.core.parallel import (
@@ -64,7 +69,6 @@ from repro.core.parallel import (
     CampaignSpec,
     SpecExecutionError,
     SweepError,
-    _prewarm_workloads,
     execute_spec,
 )
 
@@ -182,21 +186,46 @@ class PartialSweepResult:
     def raise_if_failed(self) -> List[CampaignOutcome]:
         """``outcomes`` when clean; raises the first failure otherwise."""
         if self.failures:
-            raise self.failures[0].error
+            error = self.failures[0].error
+            raise error from getattr(error, "cause", None)
         return self.outcomes  # type: ignore[return-value]
+
+
+def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
+    """Memoize the real-compute workload artifacts in this process.
+
+    Worker processes are forked where the platform allows it, so paying
+    for dataset generation and model training once here means every
+    worker inherits the memo instead of re-training per process.
+    """
+    from repro.core.deployments.ml import ml_workload
+    from repro.core.deployments.video import video_workload
+
+    for spec in specs:
+        if spec.workload in ("ml-training", "ml-inference"):
+            ml_workload(spec.scale, spec.workload_seed)
+        else:
+            video_workload(spec.fanout, spec.workload_seed)
 
 
 # -- worker side -------------------------------------------------------------------
 
 
-def _worker_main(conn, heartbeat, spec: CampaignSpec,
-                 heartbeat_interval_s: float) -> None:
-    """Run one spec in a child process, beating while it works.
+def _worker_main(conn, heartbeat, heartbeat_interval_s: float,
+                 inherited: Sequence[Any]) -> None:
+    """Serve specs from the supervisor until its end of the pipe closes.
+
+    ``inherited`` are the supervisor's ends of every worker pipe open at
+    fork time (this worker's own included).  Closing them here leaves
+    the supervisor holding the only copy, so a worker orphaned by a
+    killed supervisor sees end-of-input and exits.
 
     SIGINT is ignored here: a terminal Ctrl-C reaches the whole process
     group, and shutdown (drain pipes, then kill) is the supervisor's
     job, not each worker's.
     """
+    for connection in inherited:
+        connection.close()
     try:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):
@@ -211,13 +240,18 @@ def _worker_main(conn, heartbeat, spec: CampaignSpec,
     thread = threading.Thread(target=beat, daemon=True)
     thread.start()
     try:
-        try:
-            outcome = execute_spec(spec)
-        except BaseException as error:
-            conn.send(("error", f"{type(error).__name__}: {error}",
-                       traceback.format_exc()))
-        else:
-            conn.send(("ok", outcome))
+        while True:
+            try:
+                spec = conn.recv()
+            except EOFError:
+                return
+            try:
+                outcome = execute_spec(spec)
+            except Exception as error:
+                conn.send(("error", f"{type(error).__name__}: {error}",
+                           traceback.format_exc()))
+            else:
+                conn.send(("ok", outcome))
     finally:
         stop.set()
         conn.close()
@@ -237,20 +271,22 @@ class _Task:
 
 
 class _Worker:
-    """Supervisor-side bookkeeping for one live worker process."""
+    """Supervisor-side bookkeeping for one live worker process.
 
-    __slots__ = ("task", "process", "conn", "heartbeat", "started",
-                 "deadline", "kill_at")
+    ``task`` is the attempt in flight (``None`` while idle); its
+    ``deadline`` and chaos ``kill_at`` are wall-clock instants.
+    """
 
-    def __init__(self, task: _Task, process, conn, heartbeat,
-                 deadline: Optional[float], kill_at: Optional[float]):
-        self.task = task
+    __slots__ = ("process", "conn", "heartbeat", "task", "deadline",
+                 "kill_at")
+
+    def __init__(self, process, conn, heartbeat):
         self.process = process
         self.conn = conn
         self.heartbeat = heartbeat
-        self.started = time.monotonic()
-        self.deadline = deadline
-        self.kill_at = kill_at
+        self.task: Optional[_Task] = None
+        self.deadline: Optional[float] = None
+        self.kill_at: Optional[float] = None
 
 
 class _PoolUnavailable(Exception):
@@ -261,12 +297,12 @@ class _PoolUnavailable(Exception):
 
 
 class SupervisedRunner:
-    """Fault-tolerant drop-in for :class:`ParallelRunner`.
+    """The campaign runner: specs in, a :class:`PartialSweepResult` out.
 
-    ``run`` returns a :class:`PartialSweepResult` instead of a bare
-    outcome list; ``run(...).raise_if_failed()`` recovers the strict
-    behaviour.  Everything a completed worker reports is journaled and
-    cached immediately — there is no end-of-sweep flush to lose.
+    ``run(...).raise_if_failed()`` is the strict behaviour that
+    :class:`~repro.core.parallel.ParallelRunner` offers.  Everything a
+    worker reports is journaled and cached immediately — there is no
+    end-of-sweep flush to lose.
     """
 
     def __init__(self, workers: Optional[int] = None, cache: Any = None,
@@ -402,45 +438,65 @@ class SupervisedRunner:
         except Exception as error:
             raise _PoolUnavailable(str(error)) from error
 
-        active: List[_Worker] = []
+        pool: List[_Worker] = []
+        slots = 0   # the most workers alive at once so far
         kills: Dict[int, int] = {}
-        launched_any = False
         try:
-            while pending or active:
+            while pending or any(worker.task for worker in pool):
                 if self._interrupted is not None:
-                    self._drain_and_stop(active, outcomes)
+                    self._drain_and_stop(pool, outcomes)
                     return
-                now = time.monotonic()
-                while pending and len(active) < self.workers:
-                    task = self._pop_eligible(pending, now)
-                    if task is None:
-                        break
-                    try:
-                        active.append(
-                            self._launch(context, task, kills))
-                        launched_any = True
-                    except (OSError, ValueError, AttributeError,
-                            ImportError) as error:
-                        if launched_any:
-                            # Mid-sweep launch failure: treat as a
-                            # crash of this attempt, keep supervising.
-                            self._retry_or_fail(
-                                task,
-                                WorkerCrash(task.spec,
-                                            f"launch failed: {error}"),
-                                pending, failures)
-                        else:
-                            # Nothing launched yet: the pool is unusable.
-                            # Re-queue this task first — it was already
-                            # popped, and the inline path only sees what
-                            # is still in the deque.
-                            pending.appendleft(task)
-                            raise _PoolUnavailable(str(error)) from error
-                self._reap(active, pending, outcomes, failures, kills)
+                slots = self._dispatch(context, pool, slots, pending,
+                                       failures, kills)
+                self._reap(pool, pending, outcomes, failures, kills)
         finally:
-            for worker in active:
-                self._kill(worker)
-                self._finish(worker)
+            self._stop(pool)
+
+    def _dispatch(self, context, pool: List[_Worker], slots: int,
+                  pending: Deque[_Task], failures: List[SpecFailure],
+                  kills: Dict[int, int]) -> int:
+        """Hand every eligible task to a worker; returns ``slots``.
+
+        A slot whose process was discarded is refilled first, then idle
+        workers are reused, and only then does the pool grow toward
+        ``workers``.  So a sweep launches one process per slot it needs
+        plus exactly one per discarded process it still has work for.
+        """
+        now = time.monotonic()
+        while pending:
+            idle = next((worker for worker in pool
+                         if worker.task is None), None)
+            launch = len(pool) < slots or (idle is None
+                                           and slots < self.workers)
+            if not launch and idle is None:
+                break
+            task = self._pop_eligible(pending, now)
+            if task is None:
+                break
+            if not launch:
+                self._assign(idle, task, pool, pending, failures, kills)
+                continue
+            try:
+                worker = self._launch(context, pool)
+            except (OSError, ValueError, AttributeError,
+                    ImportError) as error:
+                if not slots:
+                    # Nothing launched yet: the pool is unusable.
+                    # Re-queue this task first — it was already popped,
+                    # and the inline path only sees what is still in
+                    # the deque.
+                    pending.appendleft(task)
+                    raise _PoolUnavailable(str(error)) from error
+                # Mid-sweep launch failure: treat as a crash of this
+                # attempt, keep supervising.
+                self._retry_or_fail(
+                    task, WorkerCrash(task.spec, f"launch failed: {error}"),
+                    pending, failures)
+                continue
+            pool.append(worker)
+            slots = max(slots, len(pool))
+            self._assign(worker, task, pool, pending, failures, kills)
+        return slots
 
     def _pop_eligible(self, pending: Deque[_Task],
                       now: float) -> Optional[_Task]:
@@ -451,58 +507,82 @@ class SupervisedRunner:
             pending.append(task)
         return None
 
-    def _launch(self, context, task: _Task,
-                kills: Dict[int, int]) -> _Worker:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        heartbeat = context.Value("d", time.monotonic())
+    def _launch(self, context, pool: List[_Worker]) -> _Worker:
+        """Fork one idle worker process."""
+        parent_conn, child_conn = context.Pipe()
+        # Lock-free: a worker SIGKILLed mid-beat must not leave behind a
+        # lock the supervisor then blocks on.
+        heartbeat = context.RawValue("d", time.monotonic())
+        inherited = [parent_conn] + [worker.conn for worker in pool]
         process = context.Process(
             target=_worker_main,
-            args=(child_conn, heartbeat, task.spec, HEARTBEAT_INTERVAL_S),
+            args=(child_conn, heartbeat, HEARTBEAT_INTERVAL_S, inherited),
             daemon=True)
         process.start()
         child_conn.close()
+        return _Worker(process, parent_conn, heartbeat)
+
+    def _assign(self, worker: _Worker, task: _Task, pool: List[_Worker],
+                pending: Deque[_Task], failures: List[SpecFailure],
+                kills: Dict[int, int]) -> None:
+        try:
+            worker.conn.send(task.spec)
+        except Exception as error:
+            # The worker died while idle (or the spec does not pickle):
+            # a crash of this attempt.
+            self._discard(pool, worker)
+            self._retry_or_fail(
+                task, WorkerCrash(task.spec,
+                                  f"could not hand over the spec: {error}"),
+                pending, failures)
+            return
         now = time.monotonic()
-        deadline = (now + self.spec_timeout_s
-                    if self.spec_timeout_s is not None else None)
-        kill_at = None
+        worker.task = task
+        worker.deadline = (now + self.spec_timeout_s
+                           if self.spec_timeout_s is not None else None)
+        worker.kill_at = None
         if self.chaos is not None and self.chaos.should_kill(
                 task.index, task.attempt, kills.get(task.index, 0)):
-            kill_at = now + self.chaos.kill_after_s
-        return _Worker(task, process, parent_conn, heartbeat,
-                       deadline, kill_at)
+            worker.kill_at = now + self.chaos.kill_after_s
 
-    def _reap(self, active: List[_Worker], pending: Deque[_Task],
+    def _reap(self, pool: List[_Worker], pending: Deque[_Task],
               outcomes: List[Optional[CampaignOutcome]],
               failures: List[SpecFailure],
               kills: Dict[int, int]) -> None:
-        if not active:
+        """Record reported results and enforce deadlines, heartbeats
+        and chaos: a worker that reported is idle again; dead, stalled
+        and timed-out ones are discarded, their attempts retried or
+        failed."""
+        if not pool:
             time.sleep(self.poll_interval_s)
             return
         try:
             ready = set(_connection_wait(
-                [worker.conn for worker in active],
+                [worker.conn for worker in pool],
                 timeout=self.poll_interval_s))
         except OSError:
             ready = set()
         now = time.monotonic()
-        for worker in list(active):
+        for worker in list(pool):
             task = worker.task
             if worker.conn in ready:
                 try:
                     message = worker.conn.recv()
                 except (EOFError, OSError):
                     message = None
-                active.remove(worker)
-                self._finish(worker)
                 if message is None:
-                    exitcode = worker.process.exitcode
-                    self._retry_or_fail(
-                        task,
-                        WorkerCrash(task.spec,
-                                    f"died without a result "
-                                    f"(exitcode {exitcode})"),
-                        pending, failures)
-                elif message[0] == "ok":
+                    self._discard(pool, worker)
+                    if task is not None:
+                        self._retry_or_fail(
+                            task,
+                            WorkerCrash(task.spec,
+                                        f"died without a result "
+                                        f"(exitcode "
+                                        f"{worker.process.exitcode})"),
+                            pending, failures)
+                    continue
+                worker.task = None
+                if message[0] == "ok":
                     self._complete(task.index, message[1], outcomes)
                 else:
                     failures.append(SpecFailure(
@@ -511,24 +591,22 @@ class SupervisedRunner:
                                                  message[2]),
                         attempts=task.attempt))
                 continue
+            if task is None:
+                continue
             if worker.kill_at is not None and now >= worker.kill_at:
                 worker.kill_at = None
                 kills[task.index] = kills.get(task.index, 0) + 1
                 self._kill(worker)
                 continue   # death surfaces through the pipe next round
             if worker.deadline is not None and now >= worker.deadline:
-                active.remove(worker)
-                self._kill(worker)
-                self._finish(worker)
+                self._discard(pool, worker)
                 self._retry_or_fail(
                     task, SpecTimeout(task.spec, self.spec_timeout_s),
                     pending, failures)
                 continue
             if self.stall_timeout_s is not None and \
                     now - worker.heartbeat.value > self.stall_timeout_s:
-                active.remove(worker)
-                self._kill(worker)
-                self._finish(worker)
+                self._discard(pool, worker)
                 self._retry_or_fail(
                     task,
                     WorkerCrash(task.spec,
@@ -536,7 +614,7 @@ class SupervisedRunner:
                                 f"{self.stall_timeout_s:g}s"),
                     pending, failures)
 
-    def _drain_and_stop(self, active: List[_Worker],
+    def _drain_and_stop(self, pool: List[_Worker],
                         outcomes: List[Optional[CampaignOutcome]]) -> None:
         """Signal path: flush every already-completed result, then kill.
 
@@ -547,7 +625,7 @@ class SupervisedRunner:
         deterministic, so resume will only reproduce it, and the user
         should learn about the broken spec before re-running the sweep.
         """
-        for worker in active:
+        for worker in pool:
             try:
                 while worker.conn.poll(0):
                     message = worker.conn.recv()
@@ -565,10 +643,21 @@ class SupervisedRunner:
                               file=sys.stderr)
             except (EOFError, OSError):
                 pass
-        for worker in active:
+        self._stop(pool)
+
+    def _discard(self, pool: List[_Worker], worker: _Worker) -> None:
+        """Kill and reap one worker; the next dispatch replaces it."""
+        pool.remove(worker)
+        self._kill(worker)
+        self._finish(worker)
+
+    def _stop(self, pool: List[_Worker]) -> None:
+        """Kill and reap every worker; an idle one has nothing to lose."""
+        for worker in pool:
             self._kill(worker)
+        for worker in pool:
             self._finish(worker)
-        active.clear()
+        pool.clear()
 
     def _kill(self, worker: _Worker) -> None:
         try:

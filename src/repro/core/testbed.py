@@ -19,7 +19,6 @@ working unchanged.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, Optional
 
@@ -57,33 +56,16 @@ class Testbed:
                  calibrations: Optional[Dict[str, Any]] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  audit: bool = False,
-                 platforms: Optional[Iterable[str]] = None,
-                 aws_calibration: Any = None,
-                 azure_calibration: Any = None):
+                 platforms: Optional[Iterable[str]] = None):
         """Build one stack per registered backend.
 
         ``calibrations`` maps backend names to calibration objects;
         unnamed backends get their defaults.  ``platforms`` restricts the
-        build to a subset of backend names (all by default).  The old
-        ``aws_calibration``/``azure_calibration`` kwargs remain as thin
-        deprecation shims folding into the mapping.
+        build to a subset of backend names (all by default).
         """
         self.env = Environment()
         self.streams = RandomStreams(seed=seed)
         calibrations = dict(calibrations or {})
-        for legacy_name, legacy_value in (("aws", aws_calibration),
-                                          ("azure", azure_calibration)):
-            if legacy_value is None:
-                continue
-            warnings.warn(
-                f"Testbed({legacy_name}_calibration=...) is deprecated; "
-                f"use calibrations={{{legacy_name!r}: ...}}",
-                DeprecationWarning, stacklevel=2)
-            if calibrations.get(legacy_name, legacy_value) is not legacy_value:
-                raise ValueError(
-                    f"calibration for {legacy_name!r} passed twice "
-                    "(mapping and legacy kwarg)")
-            calibrations[legacy_name] = legacy_value
 
         backends = registered_backends()
         if platforms is not None:

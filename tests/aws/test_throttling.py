@@ -185,7 +185,7 @@ def test_throttle_backoff_is_deterministic():
 
     def finish_times():
         calibration = AWSCalibration(burst_concurrency=2, refill_per_s=1.0)
-        testbed = Testbed(seed=5, aws_calibration=calibration)
+        testbed = Testbed(seed=5, calibrations={"aws": calibration})
         register(testbed.lambdas)
         _machine(testbed.stepfunctions)
         env = testbed.env

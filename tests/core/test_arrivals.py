@@ -128,7 +128,7 @@ def test_load_generator_deterministic_under_saturation():
     pool saturated and runs queueing behind a tightened instance cap."""
     def campaign():
         calibration = AzureCalibration(max_instances=2)
-        testbed = Testbed(seed=11, azure_calibration=calibration)
+        testbed = Testbed(seed=11, calibrations={"azure": calibration})
         deployment = build_ml_inference_deployments(
             testbed, "small")["Az-Dorch"]
         generator = LoadGenerator(PoissonArrivals(rate_per_s=1.0),

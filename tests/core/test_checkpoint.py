@@ -18,6 +18,7 @@ from repro.core import (
     ResultCache,
     SupervisedRunner,
     SweepJournal,
+    execute_spec,
 )
 from repro.core.cache import cache_key
 from repro.core.persistence import payload_checksum, spec_from_dict
@@ -96,7 +97,7 @@ def test_manifest_rejects_foreign_documents(tmp_path):
 
 def test_record_and_completed_round_trip_bit_identical(tmp_path):
     specs = sweep_specs(2)
-    outcomes = ParallelRunner(workers=1).run(specs)
+    outcomes = [execute_spec(spec) for spec in specs]
     journal = SweepJournal(tmp_path / "j")
     journal.create(specs)
     for index, outcome in enumerate(outcomes):
@@ -112,7 +113,7 @@ def test_record_and_completed_round_trip_bit_identical(tmp_path):
 
 def test_corrupt_entries_are_quarantined_not_fatal(tmp_path):
     specs = sweep_specs(3)
-    outcomes = ParallelRunner(workers=1).run(specs)
+    outcomes = [execute_spec(spec) for spec in specs]
     journal = SweepJournal(tmp_path / "j")
     journal.create(specs)
     paths = [journal.record(index, outcome)
@@ -135,10 +136,42 @@ def test_corrupt_entries_are_quarantined_not_fatal(tmp_path):
         journal.outcomes()                   # incomplete now
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+def test_non_object_entries_are_quarantined(tmp_path, text):
+    """An entry, or a checksummed outcome payload, that is valid JSON but
+    not an object is corrupt: quarantined and recomputed, not a crash."""
+    specs = sweep_specs(3)
+    journal = SweepJournal(tmp_path / "j")
+    journal.create(specs)
+    paths = [journal.record(index, execute_spec(spec))
+             for index, spec in enumerate(specs)]
+    paths[0].write_text(text)
+    document = json.loads(paths[1].read_text())
+    document["outcome"] = json.loads(text)
+    document["checksum"] = payload_checksum(document["outcome"])
+    paths[1].write_text(json.dumps(document))
+
+    assert sorted(journal.completed(specs)) == [2]
+    assert len(list(journal.quarantine_dir.glob("*.corrupt"))) == 2
+
+
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+def test_non_object_manifest_is_a_journal_error(tmp_path, text):
+    from repro.cli import main
+
+    journal = SweepJournal(tmp_path / "j")
+    journal.create(sweep_specs(1))
+    journal.manifest_path.write_text(text)
+    with pytest.raises(JournalError, match="not a sweep manifest"):
+        journal.open()
+    with pytest.raises(SystemExit, match="not a sweep manifest"):
+        main(["resume", str(journal.root)])
+
+
 def test_entry_from_another_sweep_is_rejected(tmp_path):
     specs = sweep_specs(2)
     other = sweep_specs(2, seed=99)
-    outcomes = ParallelRunner(workers=1).run(other)
+    outcomes = [execute_spec(spec) for spec in other]
     journal = SweepJournal(tmp_path / "j")
     journal.create(specs)
     # A structurally valid, checksum-valid entry — for the wrong sweep.
@@ -155,7 +188,7 @@ def test_entry_from_another_sweep_is_rejected(tmp_path):
 
 def test_entry_checksum_survives_json_round_trip(tmp_path):
     spec = sweep_specs(1)[0]
-    outcome = ParallelRunner(workers=1).run([spec])[0]
+    outcome = execute_spec(spec)
     journal = SweepJournal(tmp_path / "j")
     journal.create([spec])
     path = journal.record(0, outcome)
@@ -169,13 +202,12 @@ def test_resumed_sweep_is_bit_identical_across_paths(tmp_path):
     """A partially journaled sweep, finished by resume, matches the
     serial runner, the worker pool, and a cache replay bit for bit."""
     specs = sweep_specs(4)
-    reference = [outcome_blob(outcome)
-                 for outcome in ParallelRunner(workers=1).run(specs)]
+    reference = [outcome_blob(execute_spec(spec)) for spec in specs]
 
     # Simulate an interrupted sweep: only half the entries made it.
     journal = SweepJournal(tmp_path / "j")
     journal.create(specs)
-    head = ParallelRunner(workers=1).run(specs[:2])
+    head = [execute_spec(spec) for spec in specs[:2]]
     for index, outcome in enumerate(head):
         journal.record(index, outcome)
 

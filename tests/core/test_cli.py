@@ -161,6 +161,38 @@ def test_supervise_flags_run_the_supervised_pool(tmp_path, capsys):
     assert "ML training latency" in capsys.readouterr().out
 
 
+def test_failing_spec_without_supervise_flags_is_reported(monkeypatch,
+                                                         capsys):
+    """No --journal/--spec-timeout/--max-worker-restarts: a spec that
+    raises in its worker still gets the per-spec report and exit 1,
+    while its sibling completes."""
+    from repro.core import supervise
+
+    execute_spec = supervise.execute_spec
+
+    def failing_on_lambda(spec):
+        if spec.deployment == "AWS-Lambda":
+            raise RuntimeError("campaign blew up")
+        return execute_spec(spec)
+
+    monkeypatch.setattr(supervise, "execute_spec", failing_on_lambda)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["latency", "--iterations", "1",
+              "--variants", "AWS-Lambda,AWS-Step", "--no-cache"])
+    assert excinfo.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "1 of 2 campaigns failed" in stderr
+    assert "AWS-Lambda latency" in stderr
+    assert "RuntimeError: campaign blew up" in stderr
+
+
+def test_max_worker_restarts_defaults_to_two():
+    args = build_parser().parse_args(["latency"])
+    assert args.max_worker_restarts == 2
+    args = build_parser().parse_args(["fuzz", "run"])
+    assert args.max_worker_restarts == 2
+
+
 @pytest.mark.fuzz
 def test_fuzz_run_clean_session_exits_zero(tmp_path, capsys):
     code = main(["fuzz", "run", "--seed", "0", "--budget", "3",

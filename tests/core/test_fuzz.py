@@ -9,6 +9,7 @@ import pytest
 from repro.core.fuzz import (
     PLANT_ENV,
     FuzzVerdict,
+    PathResult,
     SpecGenerator,
     check_spec,
     expected_violation,
@@ -23,6 +24,8 @@ from repro.core.fuzz import (
 from repro.core.audit import spec_repro_hint
 from repro.core.parallel import WORKLOAD_VARIANTS, CampaignSpec
 from repro.core.persistence import spec_from_dict, spec_to_dict
+
+from tests.core.test_supervise import count_launches
 
 pytestmark = pytest.mark.fuzz
 
@@ -127,6 +130,36 @@ def test_clean_spec_checks_ok_on_every_path():
     assert paths == {"serial", "pool", "cache", "persistence"}
     checksums = {result.checksum for result in verdict.paths}
     assert len(checksums) == 1       # bit-identical on every path
+
+
+def test_pool_path_crosses_a_process_boundary(monkeypatch):
+    """Without a session's observation, the pool path runs the spec in
+    exactly one worker process; given one, it launches none."""
+    spec = CampaignSpec(deployment="AWS-Lambda", workload="ml-training",
+                        iterations=1, warmup=0)
+    launches = count_launches(monkeypatch)
+    verdict = check_spec(spec)
+    assert verdict.ok and len(launches) == 1
+
+    [pool] = [result for result in verdict.paths if result.path == "pool"]
+    assert check_spec(spec, pool=pool).ok
+    assert len(launches) == 1
+
+
+def test_session_runs_each_spec_once_in_a_worker(monkeypatch):
+    """The session's supervised outcomes are the pool path: a clean
+    session launches its one worker and nothing per spec."""
+    launches = count_launches(monkeypatch)
+    result = run_fuzz(seed=1, budget=4)
+    assert result.ok and result.executed == 4
+    assert len(launches) == 1
+
+
+def test_pool_observation_that_differs_is_a_finding():
+    spec = CampaignSpec(deployment="AWS-Lambda", workload="ml-training",
+                        iterations=1, warmup=0)
+    verdict = check_spec(spec, pool=PathResult("pool", checksum="0" * 64))
+    assert verdict.findings == ("divergence:serial-vs-pool",)
 
 
 def test_expected_violation_is_not_a_finding():

@@ -153,9 +153,9 @@ def test_light_load_passes_untouched():
 def test_overload_campaign_is_bit_identical_across_runners(variant,
                                                            tmp_path):
     spec = spec_for(variant, 1.5)
-    serial = ParallelRunner(workers=1).run([spec])[0]
+    serial = execute_spec(spec)
 
-    # A decoy spec forces the real pool path, as in test_parallel.py.
+    # A decoy spec gives the second worker a spec, as in test_parallel.py.
     decoy = spec_for(variant, 1.5, seed=spec.seed + 1)
     cache = ResultCache(tmp_path / "cache")
     parallel = ParallelRunner(workers=2, cache=cache)

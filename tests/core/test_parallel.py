@@ -131,11 +131,11 @@ def test_spec_matches_hand_driven_serial_runner(spec):
                          ids=["ml-training", "video"])
 def test_worker_process_is_bit_identical(spec, tmp_path):
     """Serial in-process, worker-process, and two cache replays agree."""
-    serial = ParallelRunner(workers=1).run([spec])[0]
+    serial = execute_spec(spec)
 
-    # Two specs force the pool path; workers=2 exercises real fan-out
-    # (the runner degrades to serial if the sandbox forbids pools, which
-    # still must be bit-identical).
+    # Two specs keep both workers busy (the runner degrades to serial
+    # if the sandbox forbids processes, which still must be
+    # bit-identical).
     decoy = CampaignSpec(deployment=spec.deployment,
                          workload=spec.workload, scale=spec.scale,
                          fanout=spec.fanout, campaign=spec.campaign,
@@ -252,6 +252,31 @@ def test_cache_checksum_mismatch_is_a_miss(tmp_path):
     assert list((cache.root / "quarantine").glob("*.corrupt"))
 
 
+@pytest.mark.parametrize("text", ["[]", '"x"', "3"])
+def test_cache_non_object_json_is_quarantined(tmp_path, text):
+    """A document, or a checksummed outcome payload, that is valid JSON
+    but not an object is corrupt: quarantined and a miss, not a crash."""
+    from repro.core.persistence import payload_checksum
+
+    cache = ResultCache(tmp_path / "cache")
+    spec = CampaignSpec(deployment="Az-Func", iterations=2, warmup=0,
+                        seed=13)
+    outcome = execute_spec(spec)
+    path = cache.put(spec, outcome)
+    path.write_text(text)
+    assert cache.get(spec) is None
+    assert not path.exists()
+    assert list((cache.root / "quarantine").glob("*.corrupt"))
+
+    path = cache.put(spec, outcome)
+    document = json.loads(path.read_text())
+    document["outcome"] = json.loads(text)
+    document["checksum"] = payload_checksum(document["outcome"])
+    path.write_text(json.dumps(document))
+    assert cache.get(spec) is None
+    assert not path.exists()
+
+
 def test_pool_surfaces_worker_failure_as_typed_spec_error(tmp_path):
     """A spec that raises in a worker fails the run with a typed error
     naming the failing spec — and the specs that completed are already
@@ -280,6 +305,8 @@ def test_pool_surfaces_worker_failure_as_typed_spec_error(tmp_path):
 
 
 def test_serial_path_raises_same_typed_error():
+    """One worker (a single worker process) fails with the same typed
+    error as the two-worker sweep above."""
     from repro.core.parallel import SpecExecutionError
 
     bad = CampaignSpec(deployment="AWS-Lambda", iterations=1, warmup=0,

@@ -147,9 +147,9 @@ def test_host_crash_recovery_is_not_counted_as_retries():
 @pytest.mark.parametrize("spec", [AWS_SPEC, AZ_SPEC],
                          ids=["AWS-Step", "Az-Dorch"])
 def test_faulted_campaign_is_bit_identical_across_runners(spec, tmp_path):
-    serial = ParallelRunner(workers=1).run([spec])[0]
+    serial = execute_spec(spec)
 
-    # A decoy spec forces the real pool path, as in test_parallel.py.
+    # A decoy spec gives the second worker a spec, as in test_parallel.py.
     decoy = CampaignSpec(deployment=spec.deployment,
                          workload=spec.workload, scale=spec.scale,
                          campaign=spec.campaign,

@@ -267,9 +267,9 @@ def test_hedging_races_and_cancels_the_loser():
     "deployment", ["AWS-Step", "Az-Dorch", "GCP-Flows"])
 def test_resilience_is_bit_identical_across_runners(deployment, tmp_path):
     spec = make_spec(deployment=deployment)
-    serial = ParallelRunner(workers=1).run([spec])[0]
+    serial = execute_spec(spec)
 
-    # A decoy spec forces the real pool path, as in test_parallel.py.
+    # A decoy spec gives the second worker a spec, as in test_parallel.py.
     decoy = make_spec(deployment=deployment, seed=spec.seed + 1)
     cache = ResultCache(tmp_path / "cache")
     runner = ParallelRunner(workers=2, cache=cache)

@@ -1,10 +1,12 @@
 """Tests for the supervised runner: crashes, stalls, timeouts, signals.
 
 The supervised pool's contract is graceful degradation with bit-exact
-recovery: SIGKILLed workers are restarted and the sweep's outcomes match
+recovery: SIGKILLed workers are replaced and the sweep's outcomes match
 an undisturbed serial run; deterministic failures surface as typed
 per-spec errors without discarding sibling work; SIGINT leaves a journal
 holding every completed outcome, resumable to a bit-identical result.
+Workers are long-lived: the launch-count tests pin down that a process
+is started only when a spec needs one and replaced only when it is lost.
 
 The chaos tests kill this test run's *own* worker processes (seeded, so
 the kill schedule is reproducible); the SIGINT test drives a real
@@ -29,7 +31,9 @@ from repro.core import (
     SpecTimeout,
     SupervisedRunner,
     SweepJournal,
+    execute_spec,
 )
+from repro.core import supervise
 from repro.core.parallel import SpecExecutionError
 from repro.core.persistence import payload_checksum
 
@@ -53,12 +57,40 @@ def broken_spec(seed=0):
                         seed=seed, invoke_kwargs={"bogus_kwarg": 1})
 
 
+def serial_blobs(specs):
+    """Each spec's outcome executed in this process."""
+    return [outcome_blob(execute_spec(spec)) for spec in specs]
+
+
+def count_launches(monkeypatch):
+    """Returns a list that grows by one entry per worker process the
+    runner launches from now on."""
+    launches = []
+    launch = SupervisedRunner._launch
+
+    def counting_launch(self, context, pool):
+        launches.append(1)
+        return launch(self, context, pool)
+
+    monkeypatch.setattr(SupervisedRunner, "_launch", counting_launch)
+    return launches
+
+
+def slow_worker_specs(monkeypatch, seconds, hang=()):
+    """Make workers forked from now on take ``seconds`` per spec, and
+    never finish the specs in ``hang``."""
+    def slow_execute(spec):
+        time.sleep(3600.0 if spec in hang else seconds)
+        return execute_spec(spec)
+
+    monkeypatch.setattr(supervise, "execute_spec", slow_execute)
+
+
 # -- baseline: drop-in equivalence -----------------------------------------------
 
 def test_supervised_pool_is_bit_identical_to_serial(tmp_path):
     specs = sweep_specs(3)
-    reference = [outcome_blob(outcome)
-                 for outcome in ParallelRunner(workers=1).run(specs)]
+    reference = serial_blobs(specs)
     result = SupervisedRunner(workers=2).run(specs)
     assert result.ok and result.completed == result.outcomes
     assert [outcome_blob(outcome) for outcome in result.outcomes] == \
@@ -92,8 +124,7 @@ def test_deterministic_failure_is_typed_and_spares_siblings(tmp_path):
 
     assert not result.ok
     assert result.outcomes[0] is None
-    assert outcome_blob(result.outcomes[1]) == \
-        outcome_blob(ParallelRunner(workers=1).run([good])[0])
+    assert outcome_blob(result.outcomes[1]) == serial_blobs([good])[0]
 
     [failure] = result.failures
     assert failure.index == 0
@@ -135,10 +166,9 @@ def test_first_launch_failure_degrades_inline_without_losing_specs(
     spec was popped from the queue and lost, leaving a silent None hole
     in an ok PartialSweepResult."""
     specs = sweep_specs(3)
-    reference = [outcome_blob(outcome)
-                 for outcome in ParallelRunner(workers=1).run(specs)]
+    reference = serial_blobs(specs)
 
-    def refuse_to_spawn(self, context, task, kills):
+    def refuse_to_spawn(self, context, pool):
         raise OSError("process spawning forbidden")
 
     monkeypatch.setattr(SupervisedRunner, "_launch", refuse_to_spawn)
@@ -172,8 +202,8 @@ def test_drain_reports_discarded_error_messages(capsys):
     child_conn.send(("error", "ValueError: boom", "traceback"))
     child_conn.close()
     spec = broken_spec()
-    worker = _Worker(_Task(0, spec), _DoneProcess(), parent_conn,
-                     heartbeat=None, deadline=None, kill_at=None)
+    worker = _Worker(_DoneProcess(), parent_conn, heartbeat=None)
+    worker.task = _Task(0, spec)
 
     outcomes = [None]
     SupervisedRunner(workers=1)._drain_and_stop([worker], outcomes)
@@ -185,6 +215,92 @@ def test_drain_reports_discarded_error_messages(capsys):
     assert outcomes == [None]
 
 
+# -- long-lived workers: what launches a process ---------------------------------
+
+def test_clean_sweep_launches_one_process_per_worker(monkeypatch):
+    """More specs than workers: each worker serves several specs."""
+    specs = sweep_specs(6)
+    launches = count_launches(monkeypatch)
+    result = SupervisedRunner(workers=2).run(specs)
+    assert result.ok
+    assert len(launches) == 2
+    assert [outcome_blob(outcome) for outcome in result.outcomes] == \
+        serial_blobs(specs)
+
+
+def test_fewer_specs_than_workers_launch_one_process_per_spec(
+        monkeypatch):
+    launches = count_launches(monkeypatch)
+    assert ParallelRunner(workers=4).run(sweep_specs(2))
+    assert len(launches) == 2
+
+
+def test_deterministic_failure_keeps_its_worker(monkeypatch):
+    """A spec that raises costs no process: the same worker serves the
+    specs after it."""
+    good = sweep_specs(2)
+    specs = [broken_spec(), *good]
+    launches = count_launches(monkeypatch)
+    result = SupervisedRunner(workers=1).run(specs)
+    assert len(launches) == 1
+    assert [failure.index for failure in result.failures] == [0]
+    assert [outcome_blob(outcome) for outcome in result.outcomes[1:]] == \
+        serial_blobs(good)
+
+
+def test_chaos_kill_launches_one_replacement_per_kill(monkeypatch):
+    """Every first attempt is SIGKILLed: the sweep launches its two
+    workers plus one replacement per kill, and still matches the serial
+    outcomes bit for bit."""
+    specs = sweep_specs(3, seed=53)
+    reference = serial_blobs(specs)
+    # Slow enough that each kill lands before its spec could finish.
+    slow_worker_specs(monkeypatch, seconds=0.3)
+    launches = count_launches(monkeypatch)
+    chaos = ChaosPlan(kill_probability=1.0, kill_after_s=0.0,
+                      max_kills_per_spec=1, seed=5)
+    result = SupervisedRunner(workers=2, chaos=chaos, max_restarts=2,
+                              backoff_base_s=0.0,
+                              poll_interval_s=0.01).run(specs)
+    assert result.ok, [str(failure) for failure in result.failures]
+    assert len(launches) == 2 + len(specs)
+    assert [outcome_blob(outcome) for outcome in result.outcomes] == \
+        reference
+
+
+def test_timed_out_worker_is_replaced_for_the_later_specs(monkeypatch):
+    """A spec that hangs past its deadline takes its worker with it; the
+    replacement completes the specs after it bit-identically."""
+    later = sweep_specs(3, seed=61)
+    stuck = sweep_specs(1, seed=7)[0]
+    slow_worker_specs(monkeypatch, seconds=0.0, hang=(stuck,))
+    launches = count_launches(monkeypatch)
+    result = SupervisedRunner(workers=1, spec_timeout_s=1.0,
+                              max_restarts=0,
+                              poll_interval_s=0.01).run([stuck, *later])
+    [failure] = result.failures
+    assert failure.index == 0 and failure.kind == "SpecTimeout"
+    assert len(launches) == 2
+    assert [outcome_blob(outcome) for outcome in result.outcomes[1:]] == \
+        serial_blobs(later)
+
+
+def test_sweep_served_from_cache_or_journal_launches_nothing(
+        monkeypatch, tmp_path):
+    specs = sweep_specs(3)
+    cache = ResultCache(tmp_path / "cache")
+    journal = SweepJournal(tmp_path / "j")
+    SupervisedRunner(workers=2, cache=cache, journal=journal).run(specs)
+    launches = count_launches(monkeypatch)
+
+    replay = ParallelRunner(workers=2, cache=cache).run(specs)
+    resumed = SupervisedRunner(workers=2, journal=journal).resume()
+    assert launches == []
+    assert all(outcome.cached for outcome in replay)
+    assert resumed.ok and all(outcome.cached
+                              for outcome in resumed.outcomes)
+
+
 # -- self-chaos: SIGKILL recovery ------------------------------------------------
 
 def test_chaos_sigkill_recovery_is_bit_identical(tmp_path):
@@ -192,8 +308,7 @@ def test_chaos_sigkill_recovery_is_bit_identical(tmp_path):
     completes with outcomes bit-identical to the serial runner and a
     consistent, fully-checksummed journal."""
     specs = sweep_specs(3, seed=47)
-    reference = [outcome_blob(outcome)
-                 for outcome in ParallelRunner(workers=1).run(specs)]
+    reference = serial_blobs(specs)
 
     journal = SweepJournal(tmp_path / "j")
     chaos = ChaosPlan(kill_probability=1.0, kill_after_s=0.0,
@@ -284,6 +399,5 @@ def test_sigint_flushes_journal_and_resume_is_bit_identical(tmp_path):
     assert {index for index, outcome in enumerate(result.outcomes)
             if outcome.cached} >= done_before
 
-    reference = ParallelRunner(workers=1).run(specs)
     assert [outcome_blob(outcome) for outcome in result.outcomes] == \
-        [outcome_blob(outcome) for outcome in reference]
+        serial_blobs(specs)

@@ -36,7 +36,7 @@ def test_testbed_accepts_custom_calibrations():
     aws.keep_alive_s = 123.0
     azure = AzureCalibration()
     azure.scale_interval_s = 99.0
-    testbed = Testbed(seed=0, aws_calibration=aws, azure_calibration=azure)
+    testbed = Testbed(seed=0, calibrations={"aws": aws, "azure": azure})
     assert testbed.lambdas.calibration.keep_alive_s == 123.0
     assert testbed.app.calibration.scale_interval_s == 99.0
 
