@@ -57,13 +57,20 @@ audit-sweep:
 resilience-sweep:
 	python -m repro resilience --audit
 
-# Crash-safety demo: journal a sweep, interrupt it mid-flight, then
-# finish it with `repro resume` — bit-identical to an uninterrupted run.
+# Crash-safety demo: journal a sweep, interrupt it mid-flight, finish it
+# with `repro resume`, then diff the resumed table (minus its leading
+# "resuming sweep" line) against an uninterrupted run: it must match.
 resume-demo:
-	rm -rf /tmp/repro-resume-demo
-	-timeout -s INT 3 python -m repro latency --iterations 200 \
-		--journal /tmp/repro-resume-demo --no-cache -j 2
-	python -m repro resume /tmp/repro-resume-demo
+	dir=$$(mktemp -d); \
+	timeout -s INT 3 python -m repro latency --iterations 200 \
+		--journal $$dir/journal --no-cache -j 2; \
+	python -m repro resume $$dir/journal > $$dir/resumed.txt && \
+	cat $$dir/resumed.txt && \
+	python -m repro latency --iterations 200 --no-cache -j 2 \
+		> $$dir/uninterrupted.txt && \
+	tail -n +2 $$dir/resumed.txt | diff $$dir/uninterrupted.txt - && \
+	echo "resume-demo: resumed output is byte-identical"; \
+	status=$$?; rm -rf $$dir; exit $$status
 
 bench:
 	pytest benchmarks/ --benchmark-only -s

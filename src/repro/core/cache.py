@@ -18,14 +18,20 @@ package version, or changing any spec field changes the key — but the
 cache can always be dropped wholesale with :meth:`ResultCache.clear` or
 ``rm -rf`` on the directory.
 
+A sweep derives its keys once (:func:`cache_keys`).  An outcome is
+encoded once: the text :meth:`ResultCache.put` wrote or
+:meth:`ResultCache.get` verified rides on the outcome, so a sweep
+journal (whose ``entries/`` is a store in this format) and the cache
+copy one text.
+
 Durability: every write goes to a unique temporary file first and is
 published with an atomic ``os.replace``, so a crash (or two processes
 racing on the same key) can never leave a half-written document behind
-the final name.  Every document carries a content checksum of its
-outcome payload; a read that fails the checksum — a truncated entry, a
-flipped bit — quarantines the file (``quarantine/`` next to the
-entries) and reports a miss, so the caller recomputes instead of
-crashing on garbage.
+the final name.  Every document carries its own key and a content
+checksum of its outcome payload; a read that fails either — a truncated
+entry, a flipped bit, a document filed under another spec's key —
+quarantines the file (``quarantine/`` next to the entries) and reports
+a miss, so the caller recomputes instead of replaying garbage.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Optional, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 from repro import __version__
 from repro.core.parallel import CampaignOutcome, CampaignSpec
@@ -44,8 +50,9 @@ from repro.core.persistence import (
     payload_checksum,
 )
 
-#: bumped to 2 when the document grew a checksummed ``outcome`` payload
-FORMAT_VERSION = 2
+#: bumped to 2 when the document grew a checksummed ``outcome`` payload,
+#: and to 3 when it recorded its own ``key``
+FORMAT_VERSION = 3
 ENV_VAR = "REPRO_CACHE_DIR"
 
 
@@ -70,19 +77,16 @@ def write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def quarantine(path: Path,
-               target_dir: Optional[Path] = None) -> Optional[Path]:
+def quarantine(path: Path) -> Optional[Path]:
     """Move a corrupted document aside (``quarantine/`` sibling dir).
 
     Returns the quarantined path, or ``None`` when the file vanished or
     could not be moved (in which case it is best-effort deleted so the
     recompute can overwrite it).
     """
-    if target_dir is None:
-        target_dir = path.parent / "quarantine"
     try:
-        target_dir.mkdir(parents=True, exist_ok=True)
-        target = target_dir / f"{path.name}.corrupt"
+        target = path.parent / "quarantine" / f"{path.name}.corrupt"
+        target.parent.mkdir(parents=True, exist_ok=True)
         path.replace(target)
         return target
     except OSError:
@@ -101,14 +105,33 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "campaigns"
 
 
+def cache_keys(specs: Iterable[CampaignSpec]) -> List[str]:
+    """Every spec's :func:`cache_key`, in order.
+
+    A calibration hash depends only on the registered backends and the
+    spec's ``calibration_overrides``, so it is computed once per
+    distinct override set (told apart by ``repr``, which keeps ``1``,
+    ``1.0`` and ``True`` apart).  The memo lives for this call only:
+    backends may be registered between sweeps.
+    """
+    calibrations: Dict[str, str] = {}
+    keys = []
+    for spec in specs:
+        overrides = repr(spec.calibration_overrides)
+        if overrides not in calibrations:
+            calibrations[overrides] = spec.calibration_hash()
+        blob = json.dumps({
+            "spec": spec.spec_hash(),
+            "calibration": calibrations[overrides],
+            "version": __version__,
+        }, sort_keys=True)
+        keys.append(hashlib.sha256(blob.encode()).hexdigest())
+    return keys
+
+
 def cache_key(spec: CampaignSpec) -> str:
     """``sha256(spec hash, calibration hash, package version)``."""
-    blob = json.dumps({
-        "spec": spec.spec_hash(),
-        "calibration": spec.calibration_hash(),
-        "version": __version__,
-    }, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return cache_keys([spec])[0]
 
 
 class ResultCache:
@@ -117,18 +140,23 @@ class ResultCache:
     def __init__(self, root: Optional[Union[str, Path]] = None):
         self.root = Path(root) if root is not None else default_cache_dir()
 
-    def path_for(self, spec: CampaignSpec) -> Path:
-        return self.root / f"{cache_key(spec)}.json"
+    def path_for(self, spec: CampaignSpec,
+                 key: Optional[str] = None) -> Path:
+        return self.root / f"{key or cache_key(spec)}.json"
 
-    def get(self, spec: CampaignSpec) -> Optional[CampaignOutcome]:
-        """The cached outcome for ``spec``, or ``None`` on a miss.
+    def get(self, spec: CampaignSpec,
+            key: Optional[str] = None) -> Optional[CampaignOutcome]:
+        """The cached outcome for ``spec`` (whose ``key`` the caller
+        may pass), or ``None`` on a miss.
 
         Unreadable or structurally stale documents count as misses.  A
-        document whose content checksum does not match its outcome
-        payload (truncated write, disk corruption) is quarantined and
-        also reported as a miss — the caller recomputes and overwrites.
+        document recording another key (another spec's results) or
+        whose checksum does not match its outcome payload (truncated
+        write, disk corruption) is quarantined and also reported as a
+        miss — the caller recomputes and overwrites.
         """
-        path = self.path_for(spec)
+        key = key or cache_key(spec)
+        path = self.path_for(spec, key)
         try:
             raw = path.read_text()
         except OSError:
@@ -139,35 +167,43 @@ class ResultCache:
                 raise ValueError("not a cache document")
             if document.get("format_version") != FORMAT_VERSION:
                 return None
+            if document.get("key") != key:
+                raise ValueError("filed under another spec's key")
             payload = document["outcome"]
             if not isinstance(payload, dict) or \
                     document.get("checksum") != payload_checksum(payload):
                 raise ValueError("checksum mismatch")
             outcome = outcome_from_dict(payload, spec)
-            outcome.cached = True
-            return outcome
         except (KeyError, TypeError, ValueError):
             quarantine(path)
             return None
+        outcome.cached = True
+        outcome.document = (key, raw)
+        return outcome
 
-    def put(self, spec: CampaignSpec, outcome: CampaignOutcome) -> Path:
+    def put(self, spec: CampaignSpec, outcome: CampaignOutcome,
+            key: Optional[str] = None) -> Path:
         """Persist ``outcome`` under ``spec``'s key; returns the path.
 
-        The write is atomic (unique tmp file + ``os.replace``) and the
-        stored document carries a checksum of the outcome payload, so a
-        crash mid-write can never poison a later read.
+        An outcome that already carries its document for this key is
+        written as is, not encoded again.  The write is atomic (unique
+        tmp file + ``os.replace``) and the document carries its key and
+        a checksum of the outcome payload, so a crash mid-write can
+        never poison a later read.
         """
-        path = self.path_for(spec)
-        payload = outcome_to_dict(outcome)
-        document: Dict[str, Any] = {
-            "format_version": FORMAT_VERSION,
-            "kind": "campaign-cache",
-            "package_version": __version__,
-            "spec": spec.canonical(),
-            "checksum": payload_checksum(payload),
-            "outcome": payload,
-        }
-        return write_atomic(path, json.dumps(document, default=repr))
+        key = key or cache_key(spec)
+        if outcome.document is None or outcome.document[0] != key:
+            payload = outcome_to_dict(outcome)
+            outcome.document = (key, json.dumps({
+                "format_version": FORMAT_VERSION,
+                "kind": "campaign-cache",
+                "key": key,
+                "package_version": __version__,
+                "spec": spec.canonical(),
+                "checksum": payload_checksum(payload),
+                "outcome": payload,
+            }, default=repr))
+        return write_atomic(self.path_for(spec, key), outcome.document[1])
 
     def clear(self) -> int:
         """Delete every cached document; returns how many were removed."""

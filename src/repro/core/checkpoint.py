@@ -12,27 +12,25 @@ to an uninterrupted run.
 A :class:`SweepJournal` is a directory::
 
     journal/
-      manifest.json            # the sweep: ordered specs + their hashes
-      entries/00003-3fb2c9d1a0e7.json   # one completed outcome
-      quarantine/...           # checksum-failed documents, moved aside
+      manifest.json            # the sweep: ordered specs + cache keys
+      entries/3fb2c9d1...json  # one completed outcome, named by cache key
+      entries/quarantine/...   # corrupt or misfiled entries, moved aside
 
 * The **manifest** freezes the sweep's identity: the ordered spec list
-  (canonical dicts plus spec/calibration hashes and the cache key of
-  each spec), the package version, and optionally the CLI argv that
-  created it (what ``repro resume <journal>`` re-dispatches).
-* **Entries** are append-only — a sweep only ever adds completed
-  outcomes.  Every write is atomic (unique tmp file + ``os.replace``)
-  and carries a content checksum of its payload, so a torn write from a
-  kill -9 is *detected* on the next read, quarantined, and simply
-  recomputed: corruption costs one spec, never the sweep.
-* **Resume** loads the checksum-verified entries, cross-checks each
-  against the manifest (position *and* cache key must agree), and
-  reports what is missing.  The supervised runner then executes only
-  the missing specs.
-
-The journal deliberately reuses the cache's document shape
-(:func:`repro.core.persistence.outcome_to_dict`), so a journal entry is
-exactly as replayable as a cache hit — and exactly as bit-identical.
+  (canonical dicts plus the cache key of each spec), the package
+  version, and optionally the CLI argv that created it (what
+  ``repro resume <journal>`` re-dispatches).
+* **Entries** are a :class:`~repro.core.cache.ResultCache` store: cache
+  documents named by cache key, written atomically and read through
+  :meth:`ResultCache.get`, which verifies each one's key and checksum.
+  A torn write from a kill -9, bit rot or an entry from another sweep
+  is quarantined and simply recomputed: corruption costs one spec,
+  never the sweep.  The journal keeps its own copy, so ``--no-cache``
+  sweeps journal too and ``repro cache --clear`` leaves it complete.
+* **Resume** loads the verified entries and reports what is missing.
+  The supervised runner then executes only the missing specs.  It
+  journals a cache hit, and fills the cache from an entry, by copying
+  the verified document text, never by encoding the outcome again.
 """
 
 from __future__ import annotations
@@ -42,16 +40,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro import __version__
-from repro.core.cache import cache_key, quarantine, write_atomic
+from repro.core.cache import ResultCache, cache_keys, write_atomic
 from repro.core.parallel import CampaignOutcome, CampaignSpec
-from repro.core.persistence import (
-    outcome_from_dict,
-    outcome_to_dict,
-    payload_checksum,
-    spec_from_dict,
-)
+from repro.core.persistence import spec_from_dict
 
-FORMAT_VERSION = 1
+#: bumped to 2 when entries became cache documents named by cache key
+FORMAT_VERSION = 2
 
 
 class JournalError(Exception):
@@ -71,7 +65,8 @@ class SweepManifest:
         if document.get("format_version") != FORMAT_VERSION:
             raise JournalError(
                 f"unsupported manifest format "
-                f"{document.get('format_version')!r}")
+                f"{document.get('format_version')!r} (this repro writes "
+                f"format {FORMAT_VERSION}); re-run the sweep from scratch")
         self.document = document
 
     @property
@@ -92,20 +87,19 @@ class SweepManifest:
     def specs(self) -> List[CampaignSpec]:
         """Rebuild the sweep's specs from their canonical dicts.
 
-        Hash-exact: each rebuilt spec is verified against the spec hash
+        Key-exact: each rebuilt spec must reproduce the cache key
         recorded at creation time, so a manifest written by a different
         package state cannot silently resume into different campaigns.
         """
-        specs = []
-        for index, entry in enumerate(self.document["specs"]):
-            spec = spec_from_dict(entry["spec"])
-            if spec.spec_hash() != entry["spec_hash"]:
+        specs = [spec_from_dict(entry["spec"])
+                 for entry in self.document["specs"]]
+        for index, (key, recorded) in enumerate(zip(cache_keys(specs),
+                                                    self.keys)):
+            if key != recorded:
                 raise JournalError(
                     f"manifest spec #{index} no longer reproduces its "
-                    f"recorded hash {entry['spec_hash'][:12]} — the "
-                    f"package changed under the journal; re-run the "
-                    f"sweep from scratch")
-            specs.append(spec)
+                    f"recorded key {recorded[:12]} — the package changed "
+                    f"under the journal; re-run the sweep from scratch")
         return specs
 
 
@@ -114,6 +108,8 @@ class SweepJournal:
 
     def __init__(self, root: Union[str, Path]):
         self.root = Path(root)
+        #: completed outcomes: a result-cache store inside the journal
+        self.entries = ResultCache(self.root / "entries")
 
     # -- layout -----------------------------------------------------------------
 
@@ -121,40 +117,31 @@ class SweepJournal:
     def manifest_path(self) -> Path:
         return self.root / "manifest.json"
 
-    @property
-    def entries_dir(self) -> Path:
-        return self.root / "entries"
-
-    @property
-    def quarantine_dir(self) -> Path:
-        return self.root / "quarantine"
-
     def exists(self) -> bool:
         return self.manifest_path.is_file()
-
-    def _entry_path(self, index: int, key: str) -> Path:
-        return self.entries_dir / f"{index:05d}-{key[:12]}.json"
 
     # -- manifest ---------------------------------------------------------------
 
     def create(self, specs: Sequence[CampaignSpec],
-               argv: Optional[Sequence[str]] = None) -> SweepManifest:
-        """Freeze the sweep's identity; atomic, refuses to overwrite."""
+               argv: Optional[Sequence[str]] = None,
+               keys: Optional[Sequence[str]] = None) -> SweepManifest:
+        """Freeze the sweep's identity; atomic, refuses to overwrite.
+
+        ``keys`` are the specs' cache keys, when already derived.
+        """
         if self.exists():
             raise JournalError(
                 f"journal at {self.root} already holds a manifest; "
                 f"open() it to resume or choose a fresh path")
+        if keys is None:
+            keys = cache_keys(specs)
         document = {
             "format_version": FORMAT_VERSION,
             "kind": "sweep-manifest",
             "package_version": __version__,
             "argv": list(argv) if argv is not None else None,
-            "specs": [{
-                "key": cache_key(spec),
-                "spec_hash": spec.spec_hash(),
-                "calibration_hash": spec.calibration_hash(),
-                "spec": spec.canonical(),
-            } for spec in specs],
+            "specs": [{"key": key, "spec": spec.canonical()}
+                      for spec, key in zip(specs, keys)],
         }
         write_atomic(self.manifest_path,
                      json.dumps(document, indent=2, default=repr))
@@ -182,99 +169,79 @@ class SweepJournal:
 
     def create_or_open(self, specs: Sequence[CampaignSpec],
                        argv: Optional[Sequence[str]] = None,
-                       resume: bool = True) -> SweepManifest:
+                       resume: bool = True,
+                       keys: Optional[Sequence[str]] = None,
+                       ) -> SweepManifest:
         """Create a fresh journal, or validate + reuse a matching one.
 
         An existing journal must describe *exactly* this sweep (same
         specs, same order, same effective calibrations); anything else
         raises rather than mixing two sweeps' outcomes.  With
         ``resume=False`` an existing journal is refused outright.
+        ``keys`` are the specs' cache keys, when already derived.
         """
         if not self.exists():
-            return self.create(specs, argv=argv)
+            return self.create(specs, argv=argv, keys=keys)
         if not resume:
             raise JournalError(
                 f"journal at {self.root} already exists; pass --resume "
                 f"to continue it, or point --journal at a fresh path")
         manifest = self.open()
-        expected = [cache_key(spec) for spec in specs]
-        if manifest.keys != expected:
+        if keys is None:
+            keys = cache_keys(specs)
+        if manifest.keys != list(keys):
             raise JournalError(
                 f"journal at {self.root} describes a different sweep "
-                f"({len(manifest.keys)} specs vs {len(expected)} "
+                f"({len(manifest.keys)} specs vs {len(keys)} "
                 f"requested, or differing spec/calibration hashes); "
                 f"refusing to mix results")
         return manifest
 
     # -- entries ----------------------------------------------------------------
 
-    def record(self, index: int, outcome: CampaignOutcome) -> Path:
-        """Append one completed outcome (atomic write + checksum)."""
-        key = cache_key(outcome.spec)
-        payload = outcome_to_dict(outcome)
-        document = {
-            "format_version": FORMAT_VERSION,
-            "kind": "journal-entry",
-            "index": index,
-            "key": key,
-            "spec_hash": outcome.spec.spec_hash(),
-            "checksum": payload_checksum(payload),
-            "outcome": payload,
-        }
-        return write_atomic(self._entry_path(index, key),
-                            json.dumps(document, default=repr))
+    def record(self, index: int, outcome: CampaignOutcome,
+               key: Optional[str] = None) -> Path:
+        """Journal the completed outcome of sweep position ``index``.
+
+        The entry is the outcome's cache document, filed under ``key``
+        (derived from ``outcome.spec`` when omitted), not under
+        ``index``: a spec listed twice shares one entry.
+        """
+        return self.entries.put(outcome.spec, outcome, key)
 
     def completed(self,
                   specs: Optional[Sequence[CampaignSpec]] = None,
+                  keys: Optional[Sequence[str]] = None,
                   ) -> Dict[int, CampaignOutcome]:
-        """Checksum-verified outcomes by manifest position.
+        """Checksum-verified outcomes of ``specs`` by position.
 
-        Corrupted entries (torn writes, bit rot, entries that disagree
-        with the manifest) are moved to ``quarantine/`` and omitted —
-        the resume path recomputes them.  ``specs`` may be passed to
-        skip re-deriving them from the manifest.
+        ``specs`` and their cache ``keys`` default to the manifest's.
+        Corrupt or misfiled entries are moved to ``entries/quarantine/``
+        and omitted — the resume path recomputes them.
         """
-        manifest = self.open()
-        if specs is None:
-            specs = manifest.specs()
-        keys = manifest.keys
+        if keys is None:
+            manifest = self.open()
+            keys = manifest.keys
+            if specs is None:
+                specs = manifest.specs()
         outcomes: Dict[int, CampaignOutcome] = {}
-        if not self.entries_dir.is_dir():
+        if not self.entries.root.is_dir():
             return outcomes
-        for path in sorted(self.entries_dir.glob("*.json")):
-            try:
-                document = json.loads(path.read_text())
-                if not isinstance(document, dict) or \
-                        document.get("kind") != "journal-entry" or \
-                        document.get("format_version") != FORMAT_VERSION:
-                    raise ValueError("not a journal entry")
-                index = document["index"]
-                if not 0 <= index < len(keys) or \
-                        document["key"] != keys[index]:
-                    raise ValueError("entry disagrees with manifest")
-                payload = document["outcome"]
-                if not isinstance(payload, dict) or \
-                        document["checksum"] != payload_checksum(payload):
-                    raise ValueError("checksum mismatch")
-                outcome = outcome_from_dict(payload, specs[index])
-                outcome.cached = True
-            except (OSError, KeyError, TypeError, ValueError):
-                quarantine(path, self.quarantine_dir)
-                continue
-            outcomes[index] = outcome
+        for index, (spec, key) in enumerate(zip(specs, keys)):
+            outcome = self.entries.get(spec, key)
+            if outcome is not None:
+                outcomes[index] = outcome
         return outcomes
 
     # -- progress ---------------------------------------------------------------
 
     def progress(self) -> str:
         """``"<done>/<total> specs journaled"`` for humans."""
-        manifest = self.open()
-        done = len(self.completed())
-        return f"{done}/{len(manifest.keys)} specs journaled"
+        total = len(self.open().keys)
+        return f"{len(self.completed())}/{total} specs journaled"
 
     def is_complete(self) -> bool:
-        manifest = self.open()
-        return set(self.completed()) == set(range(len(manifest.keys)))
+        return len(self.completed()) == len(self.open().keys)
 
     def outcomes(self) -> List[CampaignOutcome]:
         """Every outcome in sweep order (raises while incomplete)."""

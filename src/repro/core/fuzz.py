@@ -721,36 +721,19 @@ def replay_corpus(corpus_dir: Union[str, Path],
 
 
 class _JournalSlice(SweepJournal):
-    """A chunk-local view of the session's full-budget journal.
+    """The session's journal, as one chunk's runner sees it.
 
     The session freezes one manifest for the *entire* spec list up
     front, then feeds specs to :class:`SupervisedRunner` in chunks (so
-    a time budget can stop between chunks).  The runner journals with
-    chunk-local indices; this view remaps them onto the global sweep
-    positions and leaves manifest creation to the session — preserving
-    the runner's drain-to-journal signal behaviour and ``repro resume``
+    a time budget can stop between chunks).  Entries are filed by cache
+    key, so the chunk's runner records and reads them directly; this
+    view only leaves manifest creation to the session — preserving the
+    runner's drain-to-journal signal behaviour and ``repro resume``
     compatibility unchanged.
     """
 
-    def __init__(self, journal: SweepJournal, base: int,
-                 all_specs: Sequence[CampaignSpec]):
-        super().__init__(journal.root)
-        self._base = base
-        self._all_specs = list(all_specs)
-
-    def create_or_open(self, specs, argv=None, resume=True):
+    def create_or_open(self, specs, argv=None, resume=True, keys=None):
         return self.open()   # the session already created the manifest
-
-    def record(self, index: int, outcome: CampaignOutcome) -> Path:
-        return super().record(self._base + index, outcome)
-
-    def completed(self, specs=None):
-        chunk = (len(specs) if specs is not None
-                 else len(self._all_specs) - self._base)
-        done = SweepJournal.completed(self, self._all_specs)
-        return {index - self._base: outcome
-                for index, outcome in done.items()
-                if self._base <= index < self._base + chunk}
 
 
 @dataclass
@@ -832,7 +815,7 @@ def run_fuzz(seed: int, budget: int,
         chunk = specs[base:base + chunk_size]
         runner = SupervisedRunner(
             workers=workers, cache=cache,
-            journal=(_JournalSlice(journal, base, specs)
+            journal=(_JournalSlice(journal.root)
                      if journal is not None else None),
             spec_timeout_s=spec_timeout_s, max_restarts=max_restarts)
         partial = runner.run(chunk, resume=True)

@@ -336,6 +336,11 @@ class CampaignOutcome:
     audit: Optional[Any] = None
     #: True when this outcome was served from a result cache
     cached: bool = field(default=False, compare=False)
+    #: ``(cache key, document text)`` this outcome was read from or
+    #: encoded into (:class:`repro.core.cache.ResultCache`), so every
+    #: further store copies the text instead of encoding it again
+    document: Optional[Tuple[str, str]] = field(default=None, compare=False,
+                                                repr=False)
 
 
 def execute_spec(spec: CampaignSpec) -> CampaignOutcome:

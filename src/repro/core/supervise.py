@@ -63,6 +63,7 @@ from multiprocessing.connection import wait as _connection_wait
 from pathlib import Path
 from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Union
 
+from repro.core.cache import cache_keys
 from repro.core.checkpoint import SweepJournal
 from repro.core.parallel import (
     CampaignOutcome,
@@ -338,6 +339,8 @@ class SupervisedRunner:
         self.poll_interval_s = poll_interval_s
         self._interrupted: Optional[int] = None
         self._interrupt_count = 0
+        #: the running sweep's cache keys, by spec position
+        self._keys: List[str] = []
         self._previous_handlers: Dict[int, Any] = {}
 
     # -- public entry points ----------------------------------------------------
@@ -352,28 +355,29 @@ class SupervisedRunner:
         outcomes: List[Optional[CampaignOutcome]] = [None] * len(specs)
         failures: List[SpecFailure] = []
 
+        self._keys = cache_keys(specs)
+        journaled: Dict[int, CampaignOutcome] = {}
         if self.journal is not None:
-            self.journal.create_or_open(specs, argv=argv, resume=resume)
-            # Journal and cache mirror each other: journaled outcomes
-            # seed the cache (below, cache hits are journaled), so after
-            # a resume either store alone can replay the whole sweep.
-            for index, outcome in self.journal.completed(specs).items():
-                outcomes[index] = outcome
-                if self.cache is not None:
-                    self.cache.put(outcome.spec, outcome)
+            self.journal.create_or_open(specs, argv=argv, resume=resume,
+                                        keys=self._keys)
+            journaled = self.journal.completed(specs, self._keys)
 
+        # Each store gets what the other holds, as the document text it
+        # was verified from: after a resume either store alone can
+        # replay the whole sweep, and nothing is encoded twice.
         pending: Deque[_Task] = deque()
-        for index, spec in enumerate(specs):
-            if outcomes[index] is not None:
-                continue
-            hit = self.cache.get(spec) if self.cache is not None else None
-            if hit is not None:
-                hit.cached = True
-                outcomes[index] = hit
-                if self.journal is not None:
-                    self.journal.record(index, hit)
-            else:
+        for index, (spec, key) in enumerate(zip(specs, self._keys)):
+            outcome = journaled.get(index)
+            if outcome is not None:
+                if self.cache is not None:
+                    self.cache.put(spec, outcome, key)
+            elif self.cache is not None:
+                outcome = self.cache.get(spec, key)
+                if outcome is not None and self.journal is not None:
+                    self.journal.record(index, outcome, key)
+            if outcome is None:
                 pending.append(_Task(index, spec))
+            outcomes[index] = outcome
 
         if pending:
             self._install_signal_handlers()
@@ -404,12 +408,14 @@ class SupervisedRunner:
 
     def _complete(self, index: int, outcome: CampaignOutcome,
                   outcomes: List[Optional[CampaignOutcome]]) -> None:
-        """Flush one finished spec everywhere, the moment it finishes."""
+        """Flush one finished spec everywhere, the moment it finishes;
+        the first store encodes it, the second copies the text."""
         outcomes[index] = outcome
+        key = self._keys[index]
         if self.journal is not None:
-            self.journal.record(index, outcome)
+            self.journal.record(index, outcome, key)
         if self.cache is not None:
-            self.cache.put(outcome.spec, outcome)
+            self.cache.put(outcome.spec, outcome, key)
 
     def _retry_or_fail(self, task: _Task, error: SweepError,
                        pending: Deque[_Task],

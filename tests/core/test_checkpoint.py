@@ -128,7 +128,8 @@ def test_corrupt_entries_are_quarantined_not_fatal(tmp_path):
 
     completed = journal.completed(specs)
     assert sorted(completed) == [2]          # only the intact entry
-    quarantined = sorted(journal.quarantine_dir.glob("*.corrupt"))
+    quarantined = sorted(
+        (journal.entries.root / "quarantine").glob("*.corrupt"))
     assert len(quarantined) == 2
     assert not paths[0].exists() and not paths[1].exists()
 
@@ -152,7 +153,8 @@ def test_non_object_entries_are_quarantined(tmp_path, text):
     paths[1].write_text(json.dumps(document))
 
     assert sorted(journal.completed(specs)) == [2]
-    assert len(list(journal.quarantine_dir.glob("*.corrupt"))) == 2
+    assert len(list(
+        (journal.entries.root / "quarantine").glob("*.corrupt"))) == 2
 
 
 @pytest.mark.parametrize("text", ["[]", '"x"', "3"])
@@ -178,12 +180,12 @@ def test_entry_from_another_sweep_is_rejected(tmp_path):
     foreign = SweepJournal(tmp_path / "other")
     foreign.create(other)
     path = foreign.record(0, outcomes[0])
-    target = journal.entries_dir / path.name
+    target = journal.entries.path_for(specs[0])
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(path.read_text())
 
     assert journal.completed(specs) == {}
-    assert list(journal.quarantine_dir.glob("*.corrupt"))
+    assert list((journal.entries.root / "quarantine").glob("*.corrupt"))
 
 
 def test_entry_checksum_survives_json_round_trip(tmp_path):
@@ -243,3 +245,35 @@ def test_cache_hits_are_journaled_on_resume(tmp_path):
                               journal=journal).run(specs)
     assert result.ok
     assert journal.is_complete()
+
+
+def test_journal_of_cache_hits_survives_cache_clear(tmp_path, monkeypatch):
+    """A sweep served wholly from the cache is journaled as documents of
+    its own: after ``cache.clear()`` the journal still replays every
+    outcome bit-identically, and resuming it recomputes nothing."""
+    from repro.core import supervise
+
+    specs = sweep_specs(3)
+    reference = [outcome_blob(execute_spec(spec)) for spec in specs]
+    cache = ResultCache(tmp_path / "cache")
+    ParallelRunner(workers=1, cache=cache).run(specs)   # warm the cache
+
+    journal = SweepJournal(tmp_path / "j")
+    assert SupervisedRunner(workers=1, cache=cache,
+                            journal=journal).run(specs).ok
+    assert cache.clear() == len(specs)
+
+    assert [outcome_blob(outcome) for outcome in journal.outcomes()] == \
+        reference
+
+    def no_recompute(spec):
+        raise AssertionError(f"recomputed {spec.deployment}")
+
+    monkeypatch.setattr(supervise, "execute_spec", no_recompute)
+    resumed = SupervisedRunner(workers=1, cache=cache,
+                               journal=journal).resume()
+    assert resumed.ok and all(outcome.cached
+                              for outcome in resumed.outcomes)
+    assert [outcome_blob(outcome) for outcome in resumed.outcomes] == \
+        reference
+    assert len(cache) == len(specs)          # the resume refilled it

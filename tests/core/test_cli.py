@@ -120,6 +120,36 @@ def test_resume_rejects_missing_journal(tmp_path):
         main(["resume", str(tmp_path / "nope")])
 
 
+def test_resume_of_old_format_journal_exits_with_the_journal_error(
+        tmp_path):
+    """A journal whose manifest predates the current format is refused
+    with its JournalError and a re-run hint, not a traceback."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    from repro.core import CampaignSpec, SweepJournal
+
+    journal = SweepJournal(tmp_path / "journal")
+    journal.create([CampaignSpec(deployment="AWS-Lambda", iterations=2)],
+                   argv=["latency", "--iterations", "2"])
+    document = json.loads(journal.manifest_path.read_text())
+    document["format_version"] = 1
+    journal.manifest_path.write_text(json.dumps(document))
+
+    src = Path(__file__).resolve().parents[2] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", "resume", str(journal.root)],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True, text=True, timeout=120)
+    assert completed.returncode == 1
+    assert "repro: unsupported manifest format 1" in completed.stderr
+    assert "re-run the sweep" in completed.stderr
+    assert "Traceback" not in completed.stderr
+
+
 def test_resume_flag_without_journal_errors():
     """--resume alone would otherwise be silently ignored and re-run
     the whole sweep uncheckpointed."""

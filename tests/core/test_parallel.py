@@ -277,6 +277,46 @@ def test_cache_non_object_json_is_quarantined(tmp_path, text):
     assert not path.exists()
 
 
+def test_cache_document_filed_under_another_key_is_quarantined(tmp_path):
+    """A valid document copied to another spec's path is not that
+    spec's result: it is quarantined and reported as a miss instead of
+    serving the first spec's data under the second spec's name."""
+    cache = ResultCache(tmp_path / "cache")
+    first = CampaignSpec(deployment="AWS-Step", iterations=2, warmup=0,
+                         seed=1)
+    second = CampaignSpec(deployment="AWS-Step", iterations=2, warmup=0,
+                          seed=2)
+    misfiled = cache.path_for(second)
+    misfiled.write_text(cache.put(first, execute_spec(first)).read_text())
+
+    assert cache.get(second) is None
+    assert not misfiled.exists()
+    assert list((cache.root / "quarantine").glob("*.corrupt"))
+    assert cache.get(first) is not None
+
+
+def test_cache_format_2_document_is_a_miss(tmp_path):
+    """A document written before documents recorded their key reads as
+    a miss, and the recompute overwrites it."""
+    from repro.core.persistence import outcome_to_dict, payload_checksum
+
+    cache = ResultCache(tmp_path / "cache")
+    spec = CampaignSpec(deployment="Az-Func", iterations=2, warmup=0,
+                        seed=13)
+    outcome = execute_spec(spec)
+    payload = outcome_to_dict(outcome)
+    path = cache.path_for(spec)
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps({
+        "format_version": 2, "kind": "campaign-cache",
+        "spec": spec.canonical(), "checksum": payload_checksum(payload),
+        "outcome": payload}, default=repr))
+
+    assert cache.get(spec) is None
+    cache.put(spec, outcome)
+    assert outcome_blob(cache.get(spec)) == outcome_blob(outcome)
+
+
 def test_pool_surfaces_worker_failure_as_typed_spec_error(tmp_path):
     """A spec that raises in a worker fails the run with a typed error
     naming the failing spec — and the specs that completed are already

@@ -76,6 +76,26 @@ def count_launches(monkeypatch):
     return launches
 
 
+def count_calls(monkeypatch, owner, name):
+    """Returns a list that grows by one entry per call of ``owner.name``
+    from now on, wherever a ``repro`` module imported it by name."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    if isinstance(owner, type):
+        monkeypatch.setattr(owner, name, counting)
+        return calls
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("repro") and \
+                vars(module).get(name) is original:
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
 def slow_worker_specs(monkeypatch, seconds, hang=()):
     """Make workers forked from now on take ``seconds`` per spec, and
     never finish the specs in ``hang``."""
@@ -301,6 +321,46 @@ def test_sweep_served_from_cache_or_journal_launches_nothing(
                               for outcome in resumed.outcomes)
 
 
+# -- bookkeeping: one key derivation and one encoding per spec -------------------
+
+def test_sweep_derives_keys_once_and_encodes_each_outcome_once(
+        monkeypatch, tmp_path):
+    """A cold journaled pass hashes each distinct calibration once and
+    encodes each computed outcome once; a warm pass over its cache
+    encodes nothing; resuming the complete journal into an empty cache
+    copies documents instead of encoding them."""
+    from repro.core import persistence
+
+    override_sets = ({}, {"azure.scale_interval_s": 10.0})
+    specs = [CampaignSpec(deployment="Az-Dorch", iterations=2, warmup=0,
+                          seed=71 + i,
+                          calibration_overrides=override_sets[i % 2])
+             for i in range(4)]
+    overrides = len(override_sets)
+    reference = serial_blobs(specs)
+    hashes = count_calls(monkeypatch, CampaignSpec, "calibration_hash")
+    encodes = count_calls(monkeypatch, persistence, "outcome_to_dict")
+    cache = ResultCache(tmp_path / "cache")
+
+    def sweep(journal, cache):
+        hashes.clear()
+        encodes.clear()
+        result = SupervisedRunner(workers=2, cache=cache,
+                                  journal=tmp_path / journal).run(specs)
+        assert result.ok
+        assert [outcome_blob(outcome) for outcome in result.outcomes] == \
+            reference
+        return len(hashes), len(encodes)
+
+    # (calibration hashes, encodings) per sweep
+    assert sweep("cold", cache) == (overrides, len(specs))
+    assert sweep("warm", cache) == (overrides, 0)
+    # Resume the complete cold journal into an empty cache.
+    empty = ResultCache(tmp_path / "empty")
+    assert sweep("cold", empty) == (overrides, 0)
+    assert len(empty) == len(specs)
+
+
 # -- self-chaos: SIGKILL recovery ------------------------------------------------
 
 def test_chaos_sigkill_recovery_is_bit_identical(tmp_path):
@@ -322,7 +382,7 @@ def test_chaos_sigkill_recovery_is_bit_identical(tmp_path):
         reference
     # Journal consistency: complete, checksum-verified, no quarantine.
     assert journal.is_complete()
-    assert not list(journal.quarantine_dir.glob("*"))
+    assert not list((journal.entries.root / "quarantine").glob("*"))
     assert [outcome_blob(outcome) for outcome in journal.outcomes()] == \
         reference
 
@@ -395,7 +455,7 @@ def test_sigint_flushes_journal_and_resume_is_bit_identical(tmp_path):
     result = SupervisedRunner(workers=2, journal=journal).resume()
     assert result.ok
     assert journal.is_complete()
-    assert not list(journal.quarantine_dir.glob("*"))
+    assert not list((journal.entries.root / "quarantine").glob("*"))
     assert {index for index, outcome in enumerate(result.outcomes)
             if outcome.cached} >= done_before
 
