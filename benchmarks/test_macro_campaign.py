@@ -42,8 +42,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import _seed_kernel
 
 import repro.core.testbed as testbed_mod
-from repro.core.overload import execute_overload_spec
-from repro.core.parallel import CampaignSpec
+from repro.core.parallel import CampaignSpec, execute_spec
 from repro.sim import kernel as live_kernel
 
 #: The whole-campaign budget: the optimized configuration must finish
@@ -83,7 +82,7 @@ def _run_campaign(env_cls, elision: bool) -> dict:
     gc.disable()
     try:
         start = time.perf_counter()
-        outcome = execute_overload_spec(spec)
+        outcome = execute_spec(spec)
         elapsed = time.perf_counter() - start
     finally:
         if gc_was_enabled:

@@ -43,6 +43,8 @@ from typing import List, Optional
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import JournalError, SweepJournal
 from repro.core.costs import monthly_projection
+from repro.core.experiment import ColdStartCampaign
+from repro.core.overload import ratio
 from repro.core.parallel import CampaignSpec
 from repro.core.persistence import save_results
 from repro.core.metrics import percentile
@@ -275,12 +277,18 @@ def cmd_inference(args: argparse.Namespace) -> int:
 
 
 def cmd_coldstart(args: argparse.Namespace) -> int:
+    interval_s = 3600.0
+    if ColdStartCampaign(interval_s, args.days).request_count < 1:
+        raise SystemExit(f"repro: --days {args.days:g} is shorter than "
+                         f"one request interval ({interval_s:g} s), so "
+                         f"no request would be sent")
     variants = _filter_variants(["Az-Queue", "AWS-Step", "Az-Dorch",
                                  "Az-Dent", "GCP-Flows"],
                                 _selected_platforms(args))
     specs = [CampaignSpec(deployment=name, workload="ml-training",
                           scale="small", campaign="coldstart",
-                          interval_s=3600.0, days=args.days, seed=args.seed)
+                          interval_s=interval_s, days=args.days,
+                          seed=args.seed)
              for name in variants]
     outcomes = _run_specs(args, specs)
     data = {name: percentile(outcome.campaign.cold_start_delays, 50)
@@ -550,8 +558,7 @@ def cmd_overload(args: argparse.Namespace) -> int:
             best = max(summary.goodput_per_s for summary in group)
             at_top = [summary for summary in group
                       if summary.rate_per_s == top]
-            kept = (_safe_ratio(at_top[0].goodput_per_s, best)
-                    if at_top and best > 0 else 0.0)
+            kept = ratio(at_top[0].goodput_per_s, best) if at_top else 0.0
             inflation = _tail_inflation(group)
             print(f"- {platform}: up to {rejected:.0%} of offered "
                   f"requests rejected or shed, retry amplification "
@@ -565,16 +572,12 @@ def cmd_overload(args: argparse.Namespace) -> int:
     return 0
 
 
-def _safe_ratio(value: float, baseline: float) -> float:
-    return value / baseline if baseline > 0 else 0.0
-
-
 def _tail_inflation(summaries) -> float:
     """p99 at the highest swept rate over p99 at the lowest."""
     ordered = sorted(summaries, key=lambda summary: summary.rate_per_s)
     if not ordered:
         return 0.0
-    return _safe_ratio(ordered[-1].p99_latency_s, ordered[0].p99_latency_s)
+    return ratio(ordered[-1].p99_latency_s, ordered[0].p99_latency_s)
 
 
 def cmd_audit(args: argparse.Namespace) -> int:
@@ -913,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
         "latency", parents=[cache_opts, platform_opts, supervise_opts], help="ML training latency across variants (Fig 6)")
     latency.add_argument("--scale", choices=["small", "large"],
                          default="small")
-    latency.add_argument("--iterations", type=int, default=10)
+    latency.add_argument("--iterations", type=_positive_int, default=10)
     latency.add_argument("--variants", type=_variants, default=ML_VARIANTS)
     latency.add_argument("--workers", type=_positive_int, dest="jobs",
                          metavar="N",
@@ -925,7 +928,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inference", parents=[cache_opts, platform_opts, supervise_opts], help="ML inference latency (Fig 9)")
     inference.add_argument("--scale", choices=["small", "large"],
                            default="small")
-    inference.add_argument("--iterations", type=int, default=10)
+    inference.add_argument("--iterations", type=_positive_int, default=10)
     inference.add_argument("--workers", type=_positive_int, dest="jobs",
                          metavar="N",
                            default=argparse.SUPPRESS,
@@ -934,7 +937,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coldstart = commands.add_parser(
         "coldstart", parents=[cache_opts, platform_opts, supervise_opts], help="hourly cold-start campaign (Fig 10)")
-    coldstart.add_argument("--days", type=float, default=4.0)
+    coldstart.add_argument("--days", type=_positive_float, default=4.0)
     coldstart.add_argument("--workers", type=_positive_int, dest="jobs",
                          metavar="N",
                            default=argparse.SUPPRESS,
@@ -952,10 +955,10 @@ def build_parser() -> argparse.ArgumentParser:
     cost = commands.add_parser(
         "cost", parents=[cache_opts, platform_opts, supervise_opts], help="monthly video cost projection (Fig 15); use -j for "
                      "worker processes")
-    cost.add_argument("--workers", type=int, default=20,
+    cost.add_argument("--workers", type=_positive_int, default=20,
                       help="fan-out width of the measured deployment")
     cost.add_argument("--runs-per-month", type=int, default=30)
-    cost.add_argument("--measured-runs", type=int, default=4)
+    cost.add_argument("--measured-runs", type=_positive_int, default=4)
     cost.set_defaults(func=cmd_cost)
 
     reliability = commands.add_parser(
@@ -980,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
                              default=["AWS-Step", "Az-Dorch", "GCP-Flows"])
     reliability.add_argument("--scale", choices=["small", "large"],
                              default="small")
-    reliability.add_argument("--iterations", type=int, default=5)
+    reliability.add_argument("--iterations", type=_positive_int, default=5)
     reliability.add_argument("--workers", type=_positive_int, dest="jobs",
                              metavar="N", default=argparse.SUPPRESS,
                              help="campaign worker processes (alias for -j)")
@@ -1049,7 +1052,7 @@ def build_parser() -> argparse.ArgumentParser:
                             default=["AWS-Step", "Az-Dorch", "GCP-Flows"])
     resilience.add_argument("--scale", choices=["small", "large"],
                             default="small")
-    resilience.add_argument("--iterations", type=int, default=6)
+    resilience.add_argument("--iterations", type=_positive_int, default=6)
     resilience.add_argument("--workers", type=_positive_int, dest="jobs",
                             metavar="N", default=argparse.SUPPRESS,
                             help="campaign worker processes (alias for -j)")
@@ -1066,7 +1069,7 @@ def build_parser() -> argparse.ArgumentParser:
                           default=[0.2, 0.5, 1.0, 2.0], metavar="R1,R2,...",
                           help="offered arrival rates in req/s "
                                "(default 0.2,0.5,1.0,2.0)")
-    overload.add_argument("--horizon", type=float, default=120.0,
+    overload.add_argument("--horizon", type=_positive_float, default=120.0,
                           help="arrival window length in seconds "
                                "(default 120)")
     overload.add_argument("--arrival", choices=["poisson", "uniform",
@@ -1116,7 +1119,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default AWS-Step,Az-Dorch,GCP-Flows)")
     audit.add_argument("--scale", choices=["small", "large"],
                        default="small")
-    audit.add_argument("--iterations", type=int, default=3,
+    audit.add_argument("--iterations", type=_positive_int, default=3,
                        help="measured runs per reliability campaign "
                             "(default 3)")
     audit.add_argument("--retries", type=_positive_int, default=3,
@@ -1126,7 +1129,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="R1,R2,...",
                        help="overload-sweep arrival rates in req/s "
                             "(default 0.5,2.0)")
-    audit.add_argument("--horizon", type=float, default=60.0,
+    audit.add_argument("--horizon", type=_positive_float, default=60.0,
                        help="overload arrival window in seconds "
                             "(default 60)")
     audit.add_argument("--workers", type=_positive_int, dest="jobs",
@@ -1136,7 +1139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     takeaways = commands.add_parser(
         "takeaways", help="re-derive the paper's key-takeaway bullets")
-    takeaways.add_argument("--iterations", type=int, default=8)
+    takeaways.add_argument("--iterations", type=_positive_int, default=8)
     takeaways.set_defaults(func=cmd_takeaways)
 
     cache = commands.add_parser(

@@ -52,15 +52,15 @@ from repro.core.supervise import (
     SupervisedRunner,
     WorkerCrash,
 )
-from repro.core.reliability import ReliabilitySummary, execute_reliability_spec
-from repro.core.overload import OverloadSummary, execute_overload_spec
+from repro.core.reliability import ReliabilitySummary
+from repro.core.overload import OverloadSummary
 from repro.core.mitigation import (
     CircuitOpenError,
     MitigationEngine,
     MitigationPolicy,
     MitigationTimeout,
 )
-from repro.core.resilience import ResilienceSummary, execute_resilience_spec
+from repro.core.resilience import ResilienceSummary
 from repro.core.fuzz import (
     FuzzError,
     FuzzSessionResult,
@@ -110,15 +110,12 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "ReliabilitySummary",
-    "execute_reliability_spec",
     "OverloadSummary",
-    "execute_overload_spec",
     "CircuitOpenError",
     "MitigationEngine",
     "MitigationPolicy",
     "MitigationTimeout",
     "ResilienceSummary",
-    "execute_resilience_spec",
     "FuzzError",
     "FuzzSessionResult",
     "FuzzVerdict",

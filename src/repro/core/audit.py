@@ -70,9 +70,10 @@ from repro.telemetry import SpanKind
 #: ``--audit`` (or ``repro audit``) is used.
 DEFAULT_AUDIT = False
 
-#: When True (the default), campaign executors raise
-#: :class:`InvariantViolation` on a failed audit; ``repro audit`` clears
-#: it to collect per-invariant verdicts across a whole sweep instead.
+#: When True (the default), :func:`repro.core.parallel.execute_spec`
+#: raises :class:`InvariantViolation` on a failed audit; ``repro audit``
+#: clears it to collect per-invariant verdicts across a whole sweep
+#: instead.
 RAISE_ON_VIOLATION = True
 
 #: Stable invariant names, in report order.
@@ -332,7 +333,8 @@ class InvariantAuditor:
         """Check every invariant against the quiesced testbed.
 
         Never raises on a violation — callers decide via
-        :meth:`AuditReport.raise_if_violations` (the executors consult
+        :meth:`AuditReport.raise_if_violations`
+        (:func:`~repro.core.parallel.execute_spec` consults
         :data:`RAISE_ON_VIOLATION`).
         """
         checks = (

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Generator, Optional
 
@@ -44,8 +43,6 @@ class Deployment:
     function_count: int = 0
     code_size_mb: float = 0.0    # as reported by the paper (Table II)
 
-    _run_ids = itertools.count(1)
-
     def __init__(self, testbed: Testbed):
         self.testbed = testbed
         self._ready = False
@@ -72,7 +69,7 @@ class Deployment:
     # -- helpers ------------------------------------------------------------------
 
     def next_run_id(self) -> int:
-        return next(self._run_ids)
+        return next(self.testbed.run_ids)
 
     @property
     def stack(self):

@@ -22,17 +22,19 @@ plugs into overload reporting without touching this module.
 Every request therefore ends in exactly one of four buckets — succeeded,
 throttled, shed, failed — and the :class:`OverloadSummary` reports
 goodput, throttle/shed rates, retry amplification and tail latency per
-swept rate.  Like every campaign type, the result is a pure function of
-the :class:`~repro.core.parallel.CampaignSpec`, bit-identical across the
+swept rate.  :func:`~repro.core.parallel.execute_spec` runs
+:func:`overload_campaign` on a testbed from
+:func:`~repro.core.parallel.spec_testbed` and finalizes its audit, as for
+every campaign type, so the result is a pure function of the
+:class:`~repro.core.parallel.CampaignSpec`, bit-identical across the
 serial runner, :class:`~repro.core.parallel.ParallelRunner` workers and
 cache replay.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Tuple
 
 from repro.core.arrivals import (
     ArrivalProcess,
@@ -43,12 +45,10 @@ from repro.core.arrivals import (
 from repro.core.costs import cost_report
 from repro.core.experiment import CampaignResult
 from repro.core.metrics import percentile
+from repro.core.parallel import CampaignOutcome, CampaignSpec, spec_testbed
 from repro.core.testbed import Testbed
 from repro.platforms.backend import get_backend
 from repro.platforms.base import LoadShedError, ThrottlingError
-
-if TYPE_CHECKING:   # pragma: no cover - import cycle guard
-    from repro.core.parallel import CampaignOutcome, CampaignSpec
 
 #: Arrival-process kinds an overload spec may name.
 ARRIVAL_KINDS = ("poisson", "uniform", "bursty")
@@ -129,7 +129,7 @@ class OverloadSummary:
         return self.goodput_per_s / self.rate_per_s
 
 
-def arrival_process(spec: "CampaignSpec") -> ArrivalProcess:
+def arrival_process(spec: CampaignSpec) -> ArrivalProcess:
     """The arrival model an overload spec asks for."""
     rate = spec.arrival_rate_per_s
     if spec.arrival == "uniform":
@@ -141,13 +141,15 @@ def arrival_process(spec: "CampaignSpec") -> ArrivalProcess:
     return PoissonArrivals(rate_per_s=rate)
 
 
-def _ratio(value: float, baseline: float) -> float:
+def ratio(value: float, baseline: float) -> float:
+    """``value / baseline``, or 0.0 when the baseline is not positive."""
     if baseline <= 0:
         return 0.0
     return value / baseline
 
 
-def execute_overload_spec(spec: "CampaignSpec") -> "CampaignOutcome":
+def overload_campaign(spec: CampaignSpec,
+                      audit: bool) -> Tuple[Testbed, CampaignOutcome]:
     """Run one open-loop overload pass and summarize the four buckets.
 
     Mirrors :class:`~repro.core.arrivals.LoadGenerator` but tolerates —
@@ -155,16 +157,7 @@ def execute_overload_spec(spec: "CampaignSpec") -> "CampaignOutcome":
     :func:`classify_error` instead of aborting the campaign, so at any
     offered rate the run completes without an unhandled exception.
     """
-    from repro.core import audit as audit_mod
-    from repro.core.deployments.base import Deployment
-    from repro.core.parallel import CampaignOutcome
-    Deployment._run_ids = itertools.count(1)
-
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=spec.fault_plan_obj(),
-                      audit=audit_mod.enabled_for(spec.audit))
-    deployment = spec.build_deployment(testbed)
-    deployment.deploy()
+    testbed, deployment = spec_testbed(spec, spec.fault_plan_obj(), audit)
     auditor = testbed.auditor
     rng = testbed.streams.get(f"load.{deployment.name}")
     offsets = arrival_process(spec).schedule(rng, spec.horizon_s)
@@ -219,20 +212,15 @@ def execute_overload_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         failed=counts["failed"],
         throttle_events=throttle_events,
         retries=retries,
-        goodput_per_s=_ratio(succeeded, spec.horizon_s),
-        throttle_rate=_ratio(counts["throttled"], offered),
-        shed_rate=_ratio(counts["shed"], offered),
-        failure_rate=_ratio(counts["failed"], offered),
+        goodput_per_s=ratio(succeeded, spec.horizon_s),
+        throttle_rate=ratio(counts["throttled"], offered),
+        shed_rate=ratio(counts["shed"], offered),
+        failure_rate=ratio(counts["failed"], offered),
         retry_amplification=(1.0 if offered == 0
                              else (offered + retries) / offered),
         p50_latency_s=percentile(latencies, 50) if latencies else 0.0,
         p99_latency_s=percentile(latencies, 99) if latencies else 0.0)
 
     cost = cost_report(deployment, per_runs=max(1, offered))
-    report = None
-    if auditor is not None:
-        report = auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
-    return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           overload=summary, audit=report)
+    return testbed, CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
+                                    overload=summary)

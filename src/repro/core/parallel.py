@@ -9,10 +9,13 @@ independence explicit:
 * :class:`CampaignSpec` — a frozen, picklable description of one
   campaign (variant, workload, scale, calibration overrides, seed,
   iteration counts, campaign type).
-* :func:`execute_spec` — a pure worker function: builds a fresh
-  :class:`Testbed` from the spec and replays it.  Running a spec in the
-  parent process, a worker process, or from a cache file yields
-  bit-identical results.
+* :func:`execute_spec` — the one campaign executor, a pure worker
+  function: it builds every pass's fresh :class:`Testbed` from the spec
+  (:func:`spec_testbed`), runs the campaign type's body and finalizes
+  the audited pass's report.  Reliability and resilience bodies run
+  their faulted and fault-free baseline passes on one failure-tolerant
+  loop (:func:`run_pass`).  Running a spec in the parent process, a
+  worker process, or from a cache file yields bit-identical results.
 * :class:`ParallelRunner` — runs a list of specs on the supervised
   runner (:class:`repro.core.supervise.SupervisedRunner`, optionally
   consulting a :class:`repro.core.cache.ResultCache`) and returns the
@@ -48,6 +51,7 @@ from repro.core.experiment import (
     ColdStartCampaign,
     ExperimentRunner,
 )
+from repro.core.metrics import breakdown_from_spans
 from repro.core.testbed import Testbed
 from repro.platforms.backend import backend_names, get_backend
 from repro.platforms.faults import FaultPlan
@@ -343,39 +347,108 @@ class CampaignOutcome:
                                                 repr=False)
 
 
-def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
-    """Run one campaign spec on a fresh testbed (the pure worker).
-
-    Deterministic: the testbed, its RNG streams and the workload are all
-    derived from the spec alone, so the same spec produces bit-identical
-    results in any process.  To guarantee that, the process-global run-id
-    counter (:attr:`Deployment._run_ids`) is reset here — run ids name
-    blob keys and run values, and must not depend on how many campaigns
-    this process happened to run earlier.  Consequently a spec must not
-    execute concurrently with a hand-driven campaign *on the same
-    testbed* in the same process (worker processes are unaffected).
-    """
-    import itertools
-
-    from repro.core.deployments.base import Deployment
-    Deployment._run_ids = itertools.count(1)
-
-    if spec.campaign == "reliability":
-        from repro.core.reliability import execute_reliability_spec
-        return execute_reliability_spec(spec)
-    if spec.campaign == "overload":
-        from repro.core.overload import execute_overload_spec
-        return execute_overload_spec(spec)
-    if spec.campaign == "resilience":
-        from repro.core.resilience import execute_resilience_spec
-        return execute_resilience_spec(spec)
-
-    from repro.core import audit as audit_mod
-
+def spec_testbed(spec: CampaignSpec, fault_plan: Optional[FaultPlan],
+                 audit: bool) -> Tuple[Testbed, Any]:
+    """A fresh testbed for one pass of ``spec`` and the spec's
+    deployment, deployed on it.  The testbed counts its own run ids."""
     testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=spec.fault_plan_obj(),
-                      audit=audit_mod.enabled_for(spec.audit))
+                      fault_plan=fault_plan, audit=audit)
     deployment = spec.build_deployment(testbed)
+    deployment.deploy()
+    return testbed, deployment
+
+
+@dataclass
+class PassResult:
+    """One failure-tolerant closed-loop pass (:func:`run_pass`)."""
+
+    testbed: Testbed
+    campaign: CampaignResult
+    cost: CostReport
+    #: measured iterations whose run raised
+    failures: int
+    #: the policy's :class:`~repro.core.mitigation.MitigationEngine`
+    engine: Optional[Any]
+    #: completion time of every successful run, warmup included
+    success_times: List[float]
+
+
+def run_pass(spec: CampaignSpec, fault_plan: Optional[FaultPlan],
+             audit: bool = False, policy: Any = None) -> PassResult:
+    """One closed-loop pass of ``spec``, tolerant of failed runs.
+
+    Mirrors :meth:`ExperimentRunner.run_campaign` exactly (same
+    settle/think cadence, same breakdown windows) except that a run
+    raising, a fault the platform could not absorb, is recorded as a
+    failure instead of aborting the campaign.  With a mitigation
+    ``policy`` every invoke goes through one persistent engine, whose
+    breaker state and latency estimates carry across iterations like a
+    real client library's; without one the deployment is invoked
+    directly.
+    """
+    from repro.core.overload import classify_error
+
+    testbed, deployment = spec_testbed(spec, fault_plan, audit)
+    auditor = testbed.auditor
+    telemetry = deployment.stack.telemetry
+    campaign = CampaignResult(deployment=deployment.name)
+    kwargs = dict(spec.invoke_kwargs)
+    engine = None
+    if policy is not None:
+        from repro.core.mitigation import MitigationEngine
+        engine = MitigationEngine(
+            policy=policy, env=testbed.env, streams=testbed.streams,
+            label=f"{spec.campaign}.{spec.deployment}",
+            gb_s_probe=lambda: sum(stack.billing.total_gb_s()
+                                   for stack in testbed.stacks.values()))
+    failures = 0
+    success_times: List[float] = []
+
+    def invoke():
+        return deployment.invoke(**kwargs)
+
+    for index in range(spec.warmup + spec.iterations):
+        window_start = testbed.now
+        span_cursor = len(telemetry.spans)
+        run = None
+        if auditor is not None:
+            auditor.note_arrival()
+        try:
+            run = testbed.run(invoke() if engine is None
+                              else engine.call(invoke))
+            success_times.append(testbed.now)
+            if auditor is not None:
+                auditor.note_outcome("succeeded")
+        except Exception as error:  # noqa: BLE001 - the failure IS the measurement
+            if auditor is not None:
+                auditor.note_outcome(classify_error(error))
+            if index >= spec.warmup:
+                failures += 1
+        testbed.advance(spec.settle_time_s)
+        if index >= spec.warmup and run is not None:
+            campaign.runs.append(run)
+            campaign.breakdowns.append(breakdown_from_spans(
+                telemetry, since=window_start, until=testbed.now,
+                start_hint=span_cursor))
+        testbed.advance(spec.think_time_s)
+
+    cost = cost_report(deployment, per_runs=spec.warmup + spec.iterations)
+    return PassResult(testbed=testbed, campaign=campaign, cost=cost,
+                      failures=failures, engine=engine,
+                      success_times=success_times)
+
+
+def baseline_ratio(value: float, baseline: float) -> float:
+    """``value`` over its fault-free baseline; 1.0 when both are zero."""
+    if baseline <= 0:
+        return 1.0 if value <= 0 else float("inf")
+    return value / baseline
+
+
+def _paper_campaign(spec: CampaignSpec,
+                    audit: bool) -> Tuple[Testbed, CampaignOutcome]:
+    """The paper's protocols: latency, cold-start and fan-out campaigns."""
+    testbed, deployment = spec_testbed(spec, spec.fault_plan_obj(), audit)
     kwargs = dict(spec.invoke_kwargs) or None
 
     if spec.campaign == "latency":
@@ -405,14 +478,34 @@ def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
         before = len(deployment.stack.meter)
         testbed.advance(spec.idle_window_s)
         idle_transactions = len(deployment.stack.meter) - before
-    report = None
+    return testbed, CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
+                                    idle_transactions=idle_transactions)
+
+
+def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
+    """Run one campaign spec on fresh testbeds (the pure worker).
+
+    Deterministic: every pass's testbed (:func:`spec_testbed`), its RNG
+    streams, its run ids and the workload are all derived from the spec
+    alone, so the same spec produces bit-identical results in any
+    process.  Each campaign type's body returns its outcome with the
+    testbed of its audited pass, whose report is finalized here.
+    """
+    from repro.core import audit as audit_mod
+    from repro.core.overload import overload_campaign
+    from repro.core.reliability import reliability_campaign
+    from repro.core.resilience import resilience_campaign
+
+    body = {"reliability": reliability_campaign,
+            "overload": overload_campaign,
+            "resilience": resilience_campaign,
+            }.get(spec.campaign, _paper_campaign)
+    testbed, outcome = body(spec, audit_mod.enabled_for(spec.audit))
     if testbed.auditor is not None:
-        report = testbed.auditor.finalize()
+        outcome.audit = testbed.auditor.finalize()
         if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
-    return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           idle_transactions=idle_transactions,
-                           audit=report)
+            outcome.audit.raise_if_violations(spec=spec)
+    return outcome
 
 
 class ParallelRunner:

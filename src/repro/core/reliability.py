@@ -8,25 +8,28 @@ tail-latency inflation.  This quantifies the paper's central trade: the
 recovery machinery (Step Functions Retry/Catch, Durable Functions event
 sourcing) buys fault tolerance with latency and money.
 
-Everything is derived from ``(spec.seed, spec.fault_plan)``, so a
-reliability outcome is bit-identical across the serial runner,
+Both passes run on :func:`~repro.core.parallel.run_pass`, the
+failure-tolerant loop resilience campaigns share, and
+:func:`~repro.core.parallel.execute_spec` finalizes the faulted pass's
+audit.  Everything is derived from ``(spec.seed, spec.fault_plan)``, so
+a reliability outcome is bit-identical across the serial runner,
 :class:`~repro.core.parallel.ParallelRunner` workers and cache hits,
 exactly like the other campaign types.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Tuple
+from typing import Tuple
 
-from repro.core.costs import CostReport, cost_report
-from repro.core.experiment import CampaignResult
-from repro.core.metrics import breakdown_from_spans, percentile
+from repro.core.metrics import percentile
+from repro.core.parallel import (
+    CampaignOutcome,
+    CampaignSpec,
+    baseline_ratio,
+    run_pass,
+)
 from repro.core.testbed import Testbed
-
-if TYPE_CHECKING:   # pragma: no cover - import cycle guard
-    from repro.core.parallel import CampaignOutcome, CampaignSpec
 
 
 @dataclass(frozen=True)
@@ -67,80 +70,21 @@ class ReliabilitySummary:
         return self.successes / self.total_runs
 
 
-def _run_pass(spec: "CampaignSpec", fault_plan, audit: bool = False
-              ) -> Tuple[Testbed, CampaignResult, CostReport, int]:
-    """One campaign pass (tolerant of failed runs).
-
-    Mirrors :meth:`ExperimentRunner.run_campaign` exactly — same
-    settle/think cadence, same breakdown windows — except that a run
-    raising (a fault the platform could not absorb) is recorded as a
-    failure instead of aborting the campaign.
-    """
-    from repro.core.deployments.base import Deployment
-    from repro.core.overload import classify_error
-    Deployment._run_ids = itertools.count(1)
-
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=fault_plan, audit=audit)
-    deployment = spec.build_deployment(testbed)
-    deployment.deploy()
-    auditor = testbed.auditor
-    telemetry = deployment.stack.telemetry
-    campaign = CampaignResult(deployment=deployment.name)
-    kwargs = dict(spec.invoke_kwargs)
-    failures = 0
-
-    for index in range(spec.warmup + spec.iterations):
-        window_start = testbed.now
-        span_cursor = len(telemetry.spans)
-        run = None
-        if auditor is not None:
-            auditor.note_arrival()
-        try:
-            run = testbed.run(deployment.invoke(**kwargs))
-            if auditor is not None:
-                auditor.note_outcome("succeeded")
-        except Exception as error:  # noqa: BLE001 - the failure IS the measurement
-            if auditor is not None:
-                auditor.note_outcome(classify_error(error))
-            if index >= spec.warmup:
-                failures += 1
-        testbed.advance(spec.settle_time_s)
-        if index >= spec.warmup and run is not None:
-            campaign.runs.append(run)
-            campaign.breakdowns.append(breakdown_from_spans(
-                telemetry, since=window_start, until=testbed.now,
-                start_hint=span_cursor))
-        testbed.advance(spec.think_time_s)
-
-    cost = cost_report(deployment, per_runs=spec.warmup + spec.iterations)
-    return testbed, campaign, cost, failures
-
-
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0:
-        return 1.0 if value <= 0 else float("inf")
-    return value / baseline
-
-
-def execute_reliability_spec(spec: "CampaignSpec") -> "CampaignOutcome":
+def reliability_campaign(spec: CampaignSpec,
+                         audit: bool) -> Tuple[Testbed, CampaignOutcome]:
     """Run the faulted pass and its fault-free baseline; summarize.
 
     Only the faulted pass is audited: it is the one exercising retries,
     duplicates and crash recovery, and the baseline pass would double
     every check for no extra signal.
     """
-    from repro.core import audit as audit_mod
-    from repro.core.parallel import CampaignOutcome
+    faulted = run_pass(spec, spec.fault_plan_obj(), audit=audit)
+    baseline = run_pass(spec, None)
 
-    plan = spec.fault_plan_obj()
-    testbed, campaign, cost, failures = _run_pass(
-        spec, plan, audit=audit_mod.enabled_for(spec.audit))
-    _, baseline_campaign, baseline_cost, _ = _run_pass(spec, None)
-
-    faults = testbed.faults
+    campaign, cost = faulted.campaign, faulted.cost
+    faults = faulted.testbed.faults
     latencies = campaign.latencies
-    baseline_latencies = baseline_campaign.latencies
+    baseline_latencies = baseline.campaign.latencies
     p50 = percentile(latencies, 50) if latencies else 0.0
     p99 = percentile(latencies, 99) if latencies else 0.0
     base_p50 = (percentile(baseline_latencies, 50)
@@ -154,7 +98,7 @@ def execute_reliability_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         platform=cost.platform,
         total_runs=spec.iterations,
         successes=len(campaign.runs),
-        failures=failures,
+        failures=faulted.failures,
         retries=faults.platform_retries if faults else 0,
         injected_crashes=faults.crashes if faults else 0,
         injected_errors=faults.transient_errors if faults else 0,
@@ -164,20 +108,14 @@ def execute_reliability_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         host_crashes=faults.host_crashes if faults else 0,
         wasted_gb_s=faults.wasted_gb_s if faults else 0.0,
         cost_per_run=cost.total,
-        baseline_cost_per_run=baseline_cost.total,
-        cost_amplification=_ratio(cost.total, baseline_cost.total),
+        baseline_cost_per_run=baseline.cost.total,
+        cost_amplification=baseline_ratio(cost.total, baseline.cost.total),
         p50_latency_s=p50,
         p99_latency_s=p99,
         baseline_p50_latency_s=base_p50,
         baseline_p99_latency_s=base_p99,
-        tail_inflation=_ratio(p99, base_p99),
+        tail_inflation=baseline_ratio(p99, base_p99),
         mean_recovery_time_s=(sum(recovery_times) / len(recovery_times)
                               if recovery_times else 0.0))
-
-    report = None
-    if testbed.auditor is not None:
-        report = testbed.auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
-    return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           reliability=summary, audit=report)
+    return faulted.testbed, CampaignOutcome(
+        spec=spec, campaign=campaign, cost=cost, reliability=summary)

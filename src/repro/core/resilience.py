@@ -10,7 +10,10 @@ deployment actually deliver, how fast did it recover after each window
 itself cost (hedge overspend GB-s, cost overhead vs an unmitigated
 baseline), and did the p99/availability SLOs hold?
 
-Like every campaign type, the outcome is a pure function of the
+Both passes run on :func:`~repro.core.parallel.run_pass`, the
+failure-tolerant loop reliability campaigns share, with the policy's
+:class:`~repro.core.mitigation.MitigationEngine` in the loop.  Like
+every campaign type, the outcome is a pure function of the
 :class:`~repro.core.parallel.CampaignSpec`: bit-identical across the
 serial runner, :class:`~repro.core.parallel.ParallelRunner` workers and
 cache replay, and audit-clean under the invariant auditor.
@@ -18,18 +21,18 @@ cache replay, and audit-clean under the invariant auditor.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Tuple
+from typing import Tuple
 
-from repro.core.costs import CostReport, cost_report
-from repro.core.experiment import CampaignResult
-from repro.core.metrics import breakdown_from_spans, percentile
-from repro.core.mitigation import MitigationEngine, MitigationPolicy
+from repro.core.metrics import percentile
+from repro.core.mitigation import MitigationPolicy
+from repro.core.parallel import (
+    CampaignOutcome,
+    CampaignSpec,
+    baseline_ratio,
+    run_pass,
+)
 from repro.core.testbed import Testbed
-
-if TYPE_CHECKING:   # pragma: no cover - import cycle guard
-    from repro.core.parallel import CampaignOutcome, CampaignSpec
 
 
 @dataclass(frozen=True)
@@ -91,67 +94,6 @@ class ResilienceSummary:
         return self.slo_availability_met and self.slo_p99_met
 
 
-def _run_pass(spec: "CampaignSpec", fault_plan, policy: MitigationPolicy,
-              audit: bool = False):
-    """One mitigated campaign pass, tolerant of failed runs.
-
-    Same settle/think cadence and breakdown windows as the reliability
-    executor, but every invoke goes through one persistent
-    :class:`MitigationEngine` (breaker state and latency estimates
-    carry across iterations, like a real client library's).  Returns
-    ``(testbed, campaign, cost, failures, engine, success_times)``
-    where ``success_times`` are absolute completion times of *every*
-    successful run, warmup included — the MTTR evidence.
-    """
-    from repro.core.deployments.base import Deployment
-    from repro.core.overload import classify_error
-    Deployment._run_ids = itertools.count(1)
-
-    testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations(),
-                      fault_plan=fault_plan, audit=audit)
-    deployment = spec.build_deployment(testbed)
-    deployment.deploy()
-    auditor = testbed.auditor
-    telemetry = deployment.stack.telemetry
-    campaign = CampaignResult(deployment=deployment.name)
-    kwargs = dict(spec.invoke_kwargs)
-    engine = MitigationEngine(
-        policy=policy, env=testbed.env, streams=testbed.streams,
-        label=f"resilience.{spec.deployment}",
-        gb_s_probe=lambda: sum(stack.billing.total_gb_s()
-                               for stack in testbed.stacks.values()))
-    failures = 0
-    success_times: List[float] = []
-
-    for index in range(spec.warmup + spec.iterations):
-        window_start = testbed.now
-        span_cursor = len(telemetry.spans)
-        run = None
-        if auditor is not None:
-            auditor.note_arrival()
-        try:
-            run = testbed.run(engine.call(
-                lambda: deployment.invoke(**kwargs)))
-            success_times.append(testbed.now)
-            if auditor is not None:
-                auditor.note_outcome("succeeded")
-        except Exception as error:  # noqa: BLE001 - the failure IS the measurement
-            if auditor is not None:
-                auditor.note_outcome(classify_error(error))
-            if index >= spec.warmup:
-                failures += 1
-        testbed.advance(spec.settle_time_s)
-        if index >= spec.warmup and run is not None:
-            campaign.runs.append(run)
-            campaign.breakdowns.append(breakdown_from_spans(
-                telemetry, since=window_start, until=testbed.now,
-                start_hint=span_cursor))
-        testbed.advance(spec.think_time_s)
-
-    cost = cost_report(deployment, per_runs=spec.warmup + spec.iterations)
-    return testbed, campaign, cost, failures, engine, success_times
-
-
 def _recovery_times(windows, success_times, end_of_run: float
                     ) -> Tuple[float, ...]:
     """Per-window MTTR: outage start to the next observed success.
@@ -171,49 +113,39 @@ def _recovery_times(windows, success_times, end_of_run: float
     return tuple(times)
 
 
-def _ratio(value: float, baseline: float) -> float:
-    if baseline <= 0:
-        return 1.0 if value <= 0 else float("inf")
-    return value / baseline
-
-
-def execute_resilience_spec(spec: "CampaignSpec") -> "CampaignOutcome":
+def resilience_campaign(spec: CampaignSpec,
+                        audit: bool) -> Tuple[Testbed, CampaignOutcome]:
     """Run the mitigated outage pass and its clean baseline; summarize.
 
     The baseline pass runs fault-free and mitigation-free (bar the hard
     request timeout, which also backstops partition-dropped messages in
     the faulted pass), so the summary's overhead ratios isolate what
     the chaos *plus its mitigation* cost.  Only the faulted pass is
-    audited, like the reliability executor.
+    audited, like the reliability campaign's.
     """
-    from repro.core import audit as audit_mod
-    from repro.core.parallel import CampaignOutcome
-
-    plan = spec.fault_plan_obj()
     policy = spec.mitigation_obj()
     backstop = MitigationPolicy(request_timeout_s=policy.request_timeout_s)
+    faulted = run_pass(spec, spec.fault_plan_obj(), audit=audit,
+                       policy=policy)
+    baseline = run_pass(spec, None, policy=backstop)
 
-    testbed, campaign, cost, failures, engine, success_times = _run_pass(
-        spec, plan, policy, audit=audit_mod.enabled_for(spec.audit))
-    (_, baseline_campaign, baseline_cost, baseline_failures, _,
-     _) = _run_pass(spec, None, backstop)
-
-    faults = testbed.faults
+    campaign, cost, engine = faulted.campaign, faulted.cost, faulted.engine
+    faults = faulted.testbed.faults
     windows = faults.outage_windows if faults else ()
-    recovery = _recovery_times(windows, success_times, testbed.now)
+    recovery = _recovery_times(windows, faulted.success_times,
+                               faulted.testbed.now)
     latencies = campaign.latencies
-    baseline_latencies = baseline_campaign.latencies
+    baseline_latencies = baseline.campaign.latencies
     p50 = percentile(latencies, 50) if latencies else 0.0
     p99 = percentile(latencies, 99) if latencies else 0.0
     base_p99 = (percentile(baseline_latencies, 99)
                 if baseline_latencies else 0.0)
 
-    iterations = spec.iterations
-    availability = ((iterations - failures) / iterations
-                    if iterations else 0.0)
-    baseline_availability = ((iterations - baseline_failures) / iterations
-                             if iterations else 0.0)
-    failure_rate = failures / iterations if iterations else 0.0
+    iterations = spec.iterations      # positive: the spec checks it
+    failures = faulted.failures
+    availability = (iterations - failures) / iterations
+    baseline_availability = (iterations - baseline.failures) / iterations
+    failure_rate = failures / iterations
     budget = 1.0 - spec.slo_availability
     burn = (failure_rate / budget if budget > 0
             else (0.0 if failures == 0 else float("inf")))
@@ -253,13 +185,8 @@ def execute_resilience_spec(spec: "CampaignSpec") -> "CampaignOutcome":
         browned_out_messages=faults.browned_out_messages if faults else 0,
         gray_errors=faults.gray_errors if faults else 0,
         cost_per_run=cost.total,
-        baseline_cost_per_run=baseline_cost.total,
-        mitigation_cost_overhead=_ratio(cost.total, baseline_cost.total))
-
-    report = None
-    if testbed.auditor is not None:
-        report = testbed.auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            report.raise_if_violations(spec=spec)
-    return CampaignOutcome(spec=spec, campaign=campaign, cost=cost,
-                           resilience=summary, audit=report)
+        baseline_cost_per_run=baseline.cost.total,
+        mitigation_cost_overhead=baseline_ratio(cost.total,
+                                                baseline.cost.total))
+    return faulted.testbed, CampaignOutcome(
+        spec=spec, campaign=campaign, cost=cost, resilience=summary)

@@ -19,6 +19,7 @@ working unchanged.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Dict, Generator, Iterable, Optional
 
@@ -65,6 +66,10 @@ class Testbed:
         """
         self.env = Environment()
         self.streams = RandomStreams(seed=seed)
+        #: run ids for every deployment on this testbed: they name run
+        #: values and blob keys (``runs/{id}/...``) in stores that
+        #: variants of one platform share
+        self.run_ids = itertools.count(1)
         calibrations = dict(calibrations or {})
 
         backends = registered_backends()

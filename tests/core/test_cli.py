@@ -64,6 +64,31 @@ def test_cost_command_runs(capsys):
     assert "tx share" in output
 
 
+@pytest.mark.parametrize("argv", [
+    [command, "--iterations", "0"]
+    for command in ("latency", "inference", "reliability", "resilience",
+                    "audit", "takeaways")
+] + [
+    ["cost", "--measured-runs", "0"],
+    ["cost", "--workers", "0"],
+    ["overload", "--horizon", "0"],
+    ["audit", "--horizon", "0"],
+    ["coldstart", "--days", "0"],
+    ["coldstart", "--days", "0.01"],   # shorter than one hourly request
+], ids=" ".join)
+def test_out_of_range_numbers_exit_before_any_campaign_runs(monkeypatch,
+                                                           argv):
+    from repro.core.supervise import SupervisedRunner
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a campaign runner started")
+
+    monkeypatch.setattr(SupervisedRunner, "run", refuse)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code not in (0, None)
+
+
 def test_seed_flag_changes_nothing_structural(capsys):
     assert main(["--seed", "5", "video", "--workers", "2"]) == 0
 

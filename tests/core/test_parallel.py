@@ -7,7 +7,6 @@ cold-start delays, breakdowns and cost meters — or the parallel engine
 is not a drop-in replacement for the serial runner.
 """
 
-import itertools
 import json
 
 import pytest
@@ -25,7 +24,6 @@ from repro.core import (
     execute_spec,
 )
 from repro.core.cache import cache_key
-from repro.core.deployments.base import Deployment
 from repro.core.persistence import campaign_to_dict, cost_report_to_dict
 
 
@@ -100,7 +98,6 @@ VIDEO_SPEC = CampaignSpec(deployment="AWS-Step", workload="video",
 
 def serial_reference(spec: CampaignSpec) -> CampaignOutcome:
     """The spec's campaign, hand-driven through the serial runner."""
-    Deployment._run_ids = itertools.count(1)
     testbed = Testbed(seed=spec.seed, calibrations=spec.calibrations())
     if spec.workload == "ml-training":
         deployment = build_ml_training_deployments(
@@ -125,6 +122,27 @@ def serial_reference(spec: CampaignSpec) -> CampaignOutcome:
 def test_spec_matches_hand_driven_serial_runner(spec):
     assert outcome_blob(serial_reference(spec)) == \
         outcome_blob(execute_spec(spec))
+
+
+@pytest.mark.parametrize("variant", ["AWS-Step", "Az-Dorch", "GCP-Flows"])
+def test_hand_driven_campaign_ignores_what_ran_before(variant):
+    """Each testbed counts its own run ids, so a campaign hand-driven on
+    a fresh testbed numbers its runs from 1 (the warmup) whatever ran
+    earlier in the process."""
+    def hand_driven():
+        testbed = Testbed(seed=3)
+        deployment = build_ml_training_deployments(testbed, "small")[variant]
+        return ExperimentRunner().run_campaign(deployment, 3, warmup=1)
+
+    def run_numbers(campaign):
+        return [int(str(run.value["run_id"]).rpartition("-")[2])
+                for run in campaign.runs]
+
+    first = hand_driven()
+    execute_spec(CampaignSpec(deployment="AWS-Lambda", iterations=3, seed=3))
+    second = hand_driven()
+    assert run_numbers(second) == [2, 3, 4]
+    assert campaign_to_dict(second) == campaign_to_dict(first)
 
 
 @pytest.mark.parametrize("spec", [ML_SPEC, VIDEO_SPEC],
