@@ -48,7 +48,9 @@ from repro.sim import kernel as live_kernel
 #: The whole-campaign budget: the optimized configuration must finish
 #: the campaign at least this many times faster than the baseline.
 #: Quiet-machine measurements land at 1.45-2.1x; the floor leaves
-#: headroom for shared-runner noise since this assert is in tier-1.
+#: headroom for noise.  Tier-1 does not collect benchmarks/: the floor is
+#: enforced by the exit code of `make bench-campaign` and by a hand-run
+#: pytest of this file.
 CAMPAIGN_SPEEDUP_FLOOR = 1.25
 
 #: Sparse, idle-heavy, audited: the shape where queue polling dominates.

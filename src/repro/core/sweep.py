@@ -19,11 +19,8 @@ Example
 from __future__ import annotations
 
 import itertools
-import multiprocessing
-import pickle
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Sequence
 
 from repro.core.testbed import Testbed
 from repro.platforms.backend import backend_names, get_backend
@@ -31,8 +28,7 @@ from repro.platforms.backend import backend_names, get_backend
 
 def _evaluate_point(overrides: Dict[str, Any], seed: int,
                     measure: Callable[[Testbed], Any]) -> Any:
-    """Worker: one grid point on a fresh testbed (module-level so it
-    pickles into worker processes).
+    """One grid point on a fresh testbed.
 
     ``overrides`` keys are ``"<platform>.field"`` names; a bare field
     name is applied to the platform given by the sweep (see the callers,
@@ -45,34 +41,6 @@ def _evaluate_point(overrides: Dict[str, Any], seed: int,
         setattr(calibrations[platform], parameter, value)
     testbed = Testbed(seed=seed, calibrations=calibrations)
     return measure(testbed)
-
-
-def _run_points(prefixed: List[Dict[str, Any]], seed: int,
-                measure: Callable[[Testbed], Any],
-                workers: int) -> List[Any]:
-    """Evaluate prefixed override dicts, fanning out when asked.
-
-    ``workers <= 1`` evaluates in-process.  A pool failure (sandboxed
-    interpreter, unpicklable ``measure`` closure) falls back to the
-    serial path — parallelism is an optimization, never a requirement.
-    """
-    if workers > 1 and len(prefixed) > 1:
-        try:
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None)
-            with ProcessPoolExecutor(
-                    max_workers=min(workers, len(prefixed)),
-                    mp_context=context) as pool:
-                futures = [pool.submit(_evaluate_point, overrides, seed,
-                                       measure)
-                           for overrides in prefixed]
-                return [future.result() for future in futures]
-        except (BrokenExecutor, OSError, ValueError, TypeError,
-                AttributeError, ImportError, pickle.PicklingError):
-            pass
-    return [_evaluate_point(overrides, seed, measure)
-            for overrides in prefixed]
 
 
 @dataclass
@@ -106,23 +74,17 @@ class CalibrationSweep:
         return [SweepPoint(overrides={self.parameter: value})
                 for value in self.values]
 
-    def run(self, measure: Callable[[Testbed], Any],
-            workers: int = 1) -> List[SweepPoint]:
+    def run(self, measure: Callable[[Testbed], Any]) -> List[SweepPoint]:
         """Evaluate ``measure`` on a fresh testbed per grid point.
 
         ``measure`` receives a testbed whose calibration carries the
-        point's override and returns the metric to record.  With
-        ``workers > 1`` the grid points fan out across worker processes
-        when ``measure`` is picklable (a module-level function), falling
-        back to the serial path otherwise.
+        point's override and returns the metric to record.
         """
         points = self.points()
-        prefixed = [{f"{self.platform}.{name}": value
-                     for name, value in point.overrides.items()}
-                    for point in points]
-        values = _run_points(prefixed, self.seed, measure, workers)
-        for point, value in zip(points, values):
-            point.value = value
+        for point in points:
+            prefixed = {f"{self.platform}.{name}": value
+                        for name, value in point.overrides.items()}
+            point.value = _evaluate_point(prefixed, self.seed, measure)
         return points
 
 
@@ -157,13 +119,10 @@ class GridSweep:
         return [SweepPoint(overrides=dict(zip(names, combo)))
                 for combo in combinations]
 
-    def run(self, measure: Callable[[Testbed], Any],
-            workers: int = 1) -> List[SweepPoint]:
+    def run(self, measure: Callable[[Testbed], Any]) -> List[SweepPoint]:
         points = self.points()
-        values = _run_points([point.overrides for point in points],
-                             self.seed, measure, workers)
-        for point, value in zip(points, values):
-            point.value = value
+        for point in points:
+            point.value = _evaluate_point(point.overrides, self.seed, measure)
         return points
 
 

@@ -19,9 +19,10 @@ event)`` 3-tuples where ``order`` packs ``(priority, sequence)`` into one
 integer.  ``benchmarks/test_kernel_throughput.py`` tracks the events/sec
 budget against the frozen seed kernel.
 
-Second-round optimizations (still bit-identical to the original
-dispatch order — the total order over ``(time, priority, sequence)``
-keys is unchanged):
+:meth:`Environment.run` is the one dispatch loop: ``run()``,
+``run(until=time)`` and ``run(until=event)`` all drive it.  Two fast
+paths remain, both bit-identical to the original dispatch order (the
+total order over ``(time, priority, sequence)`` keys is unchanged):
 
 * **Immediate-event batching.**  Events scheduled at the current clock
   time (``succeed``/``fail``/``trigger``, :class:`Initialize`,
@@ -30,24 +31,17 @@ keys is unchanged):
   the dispatch loop drains a whole same-timestamp batch with O(1) pops,
   comparing against the heap head only to preserve the exact global
   ``(time, order)`` sequence.
-* **Timeout pooling.**  A dispatched :class:`Timeout` that nothing else
-  references (checked via ``sys.getrefcount``) is recycled onto a
-  per-environment free list together with its (cleared) callbacks list,
-  so the hottest allocation in storage-latency-bound campaigns reuses
-  warm objects instead of hitting the allocator.
-* **Inlined process stepping.**  The run loops recognize the dominant
-  dispatch shape — exactly one callback, and it is a
-  :meth:`Process._resume` bound method — and step the generator inline,
-  eliding one Python frame per dispatch.  :meth:`Environment.step` keeps
-  the readable, un-inlined reference implementation of the same
-  semantics.
+* **Inlined process stepping.**  One dispatch shape is inlined: exactly
+  one callback, and it is a :meth:`Process._resume` bound method.  The
+  loop steps that generator itself, eliding one Python frame per
+  dispatch; every other shape, condition checks included, calls its
+  callbacks.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heappop, heappush
-from sys import getrefcount
 from types import MethodType
 from typing import Any, Callable, Generator, Iterable, Optional, Sequence
 
@@ -60,11 +54,6 @@ NORMAL = 1
 #: 2**53 keeps every sequence number exactly representable and leaves
 #: priorities dominant.
 _PRIORITY_STRIDE = 2 ** 53
-
-#: Upper bound on the per-environment :class:`Timeout` free list.  The
-#: pool only grows while dispatching, so this is a safety valve against
-#: pathological churn, not a tuning knob.
-_TIMEOUT_POOL_LIMIT = 4096
 
 
 class SimulationError(Exception):
@@ -179,7 +168,9 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
+        # The ordering compare (not ``delay < 0``) also rejects NaN,
+        # which would poison the heap invariant.
+        if not delay >= 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.env = env
         self.callbacks = []
@@ -335,22 +326,20 @@ class ConditionValue:
 class Condition(Event):
     """Composite event over a set of sub-events.
 
-    Triggers when ``evaluate(events, done_count)`` returns True.  Failed
-    sub-events propagate their exception to the condition.
+    Every sub-event checks in through the subclass's ``_check``, which
+    decides when the condition triggers.  Failed sub-events propagate
+    their exception to the condition.
     """
 
-    __slots__ = ("_events", "_evaluate", "_done")
+    __slots__ = ("_events", "_done")
 
-    def __init__(self, env: "Environment",
-                 evaluate: Callable[[list, int], bool],
-                 events: Iterable[Event]):
+    def __init__(self, env: "Environment", events: Iterable[Event]):
         self.env = env
         self.callbacks = []
         self._value = None
         self._ok = None
         self._defused = False
         self._events = events = list(events)
-        self._evaluate = evaluate
         self._done = 0
         if not events:
             self.succeed(ConditionValue([]))
@@ -367,39 +356,13 @@ class Condition(Event):
             else:
                 event.callbacks.append(check)
 
-    def _succeed_with_done(self) -> None:
-        done = [e for e in self._events if e._ok is not None and e._ok]
-        self.succeed(ConditionValue(done))
-
-    def _check(self, event: Event) -> None:
-        if self._ok is not None:
-            return
-        self._done += 1
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-        elif self._evaluate(self._events, self._done):
-            self._succeed_with_done()
-
-
-def _all_done(events: list, done: int) -> bool:
-    return done == len(events)
-
-
-def _any_done(events: list, done: int) -> bool:
-    return done >= 1
-
 
 class AllOf(Condition):
     """Condition that triggers once *all* sub-events have triggered."""
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _all_done, events)
-
     def _check(self, event: Event) -> None:
-        # Specialized: count-complete test without the evaluate() call.
         if self._ok is not None:
             return
         done = self._done = self._done + 1
@@ -407,8 +370,7 @@ class AllOf(Condition):
             event._defused = True
             self.fail(event._value)
         elif done == len(self._events):
-            # Every sub-event checked in without failing, so all are ok:
-            # skip _succeed_with_done()'s per-event filtering.
+            # Every sub-event checked in without failing, so all are ok.
             self.succeed(ConditionValue(self._events))
 
 
@@ -417,19 +379,16 @@ class AnyOf(Condition):
 
     __slots__ = ()
 
-    def __init__(self, env: "Environment", events: Iterable[Event]):
-        super().__init__(env, _any_done, events)
-
     def _check(self, event: Event) -> None:
-        # Specialized: the first sub-event settles the condition.
+        # The first sub-event settles the condition.
         if self._ok is not None:
             return
-        self._done += 1
         if not event._ok:
             event._defused = True
             self.fail(event._value)
         else:
-            self._succeed_with_done()
+            self.succeed(ConditionValue(
+                [e for e in self._events if e._ok is not None and e._ok]))
 
 
 def join_all(env: "Environment", processes: Sequence["Process"]) -> Generator:
@@ -465,7 +424,7 @@ class Environment:
     """The simulation environment: virtual clock plus event queue."""
 
     __slots__ = ("_now", "_queue", "_urgent", "_ready", "_sequence",
-                 "_active_process", "_monitor", "_timeout_pool")
+                 "_active_process", "_monitor")
 
     def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
@@ -478,8 +437,6 @@ class Environment:
         self._sequence = 0
         self._active_process: Optional[Process] = None
         self._monitor: Optional[Callable[[float], None]] = None
-        #: free list of recycled Timeout instances (see run()).
-        self._timeout_pool: list = []
 
     @property
     def now(self) -> float:
@@ -514,7 +471,7 @@ class Environment:
             self._urgent.append((sequence, event))
         else:
             # Exotic priorities take the generic heap path; the dispatch
-            # loops order heap entries against the deques numerically.
+            # loop orders heap entries against the deques numerically.
             heappush(self._queue,
                      (self._now, priority * _PRIORITY_STRIDE + sequence,
                       event))
@@ -529,21 +486,13 @@ class Environment:
         # Inlined Timeout.__init__ (keep in sync): this is the single
         # hottest constructor, and skipping the __init__ frame is worth
         # the duplication.
-        pool = self._timeout_pool
-        if pool:
-            # Recycled instance: env/_ok/_defused are already correct and
-            # the callbacks list was cleared when it entered the pool.
-            event = pool.pop()
-            event._value = value
-            event.delay = delay
-        else:
-            event = Timeout.__new__(Timeout)
-            event.env = self
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._defused = False
-            event.delay = delay
+        event = Timeout.__new__(Timeout)
+        event.env = self
+        event.callbacks = []
+        event._value = value
+        event._ok = True
+        event._defused = False
+        event.delay = delay
         sequence = self._sequence
         if delay > 0:
             heappush(self._queue,
@@ -582,55 +531,6 @@ class Environment:
             return self._now
         return self._queue[0][0] if self._queue else float("inf")
 
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the next event in global ``(time, order)``
-        sequence, advancing the clock; ``None`` when nothing is left.
-
-        Immediate events (the deques) always carry the current clock
-        time, so the heap head competes with them only at equal times,
-        by packed order.  This is the readable reference for the
-        selection logic inlined into :meth:`run`.
-        """
-        queue = self._queue
-        urgent = self._urgent
-        if urgent:
-            if queue and queue[0][0] == self._now \
-                    and queue[0][1] < urgent[0][0]:
-                self._now, _, event = heappop(queue)
-                return event
-            return urgent.popleft()[1]
-        ready = self._ready
-        if ready:
-            if queue and queue[0][0] == self._now \
-                    and queue[0][1] < ready[0][0]:
-                self._now, _, event = heappop(queue)
-                return event
-            return ready.popleft()[1]
-        if queue:
-            self._now, _, event = heappop(queue)
-            return event
-        return None
-
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        This is the un-inlined reference implementation of one dispatch;
-        :meth:`run` repeats the same semantics with the hot paths
-        (single-process resume, timeout recycling) specialized inline.
-        """
-        event = self._pop_next()
-        if event is None:
-            raise SimulationError("no scheduled events")
-        monitor = self._monitor
-        if monitor is not None:
-            monitor(self._now)
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._defused:
-            # An unhandled failure crashes the simulation, loudly.
-            raise event._value
-
     def run(self, until: Any = None, _pop=heappop) -> Any:
         """Run the simulation.
 
@@ -638,188 +538,39 @@ class Environment:
         until that simulated time), or an :class:`Event` (run until the
         event triggers, returning its value).
         """
-        stop_event: Optional[Event] = None
         stop_time = float("inf")
         if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            stop_time = float(until)
-            if stop_time < self._now:
-                raise SimulationError(
-                    f"until ({stop_time}) lies in the past (now={self._now})")
+            target = until
+        else:
+            target = _NEVER
+            if until is not None:
+                stop_time = float(until)
+                if stop_time < self._now:
+                    raise SimulationError(
+                        f"until ({stop_time}) lies in the past (now={self._now})")
 
-        # Both loops below inline one dispatch — event selection, clock
-        # advance, monitor hook, callback fan-out (with the dominant
-        # single-process resume stepped inline), failure check and
-        # timeout recycling — so the hot path touches only locals.  Keep
-        # them in sync with step()/_pop_next() when editing any of them.
+        # One loop serves every mode.  It dispatches until ``target``
+        # carries a value (the target's own callbacks fire on a later
+        # dispatch, not before returning), the queues run dry, or the
+        # next heap entry lies past ``stop_time``; events due at exactly
+        # ``until`` still run.  Immediates always carry the current
+        # clock time, so only heap pops consult ``stop_time``.  Each pass
+        # inlines one dispatch (event selection, clock advance, monitor
+        # hook, callback fan-out with the single-process resume stepped
+        # inline, failure check) so the hot path touches only locals.
         queue = self._queue
         urgent = self._urgent
         ready = self._ready
-        pool = self._timeout_pool
         monitor = self._monitor
         resume = Process._resume
         # Hot-loop globals hoisted to locals: every name in the dispatch
-        # blocks below must resolve via LOAD_FAST.
-        grc = getrefcount
+        # block below must resolve via LOAD_FAST.
         method_type = MethodType
-        timeout_cls = Timeout
         stride = _PRIORITY_STRIDE
-        pool_limit = _TIMEOUT_POOL_LIMIT
-        allof_check = AllOf._check
-        anyof_check = AnyOf._check
-        cond_value = ConditionValue
 
-        if stop_event is not None:
-            # Dispatch until the stop event carries a value; as in
-            # step()-driven runs, the stop event's own callbacks fire on
-            # a later dispatch, not before returning.
-            while stop_event._ok is None:
-                # -- selection (batched: immediates drain at O(1) before
-                # the heap moves the clock; ties resolve by packed order)
-                if urgent:
-                    if queue and queue[0][0] == self._now \
-                            and queue[0][1] < urgent[0][0]:
-                        self._now, _, event = _pop(queue)
-                    else:
-                        event = urgent.popleft()[1]
-                elif ready:
-                    if queue and queue[0][0] == self._now \
-                            and queue[0][1] < ready[0][0]:
-                        self._now, _, event = _pop(queue)
-                    else:
-                        event = ready.popleft()[1]
-                elif queue:
-                    self._now, _, event = _pop(queue)
-                else:
-                    break
-                if monitor is not None:
-                    monitor(self._now)
-                # -- dispatch
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1:
-                    cb = callbacks[0]
-                    func = cb.__func__ if cb.__class__ is method_type else None
-                    if func is resume:
-                        # Inlined Process._resume (keep in sync): step
-                        # the generator without the extra Python frame.
-                        # A failed event is defused by the throw branch,
-                        # so no unhandled-failure check is needed here.
-                        proc = cb.__self__
-                        self._active_process = proc
-                        send = proc._send
-                        step_event = event
-                        while True:
-                            try:
-                                if step_event._ok:
-                                    next_event = send(step_event._value)
-                                else:
-                                    step_event._defused = True
-                                    next_event = proc._generator.throw(
-                                        step_event._value)
-                            except StopIteration as stop:
-                                proc._ok = True
-                                proc._value = stop.value
-                                seq = self._sequence
-                                ready.append((stride + seq, proc))
-                                self._sequence = seq + 1
-                                break
-                            except BaseException as error:
-                                proc._ok = False
-                                proc._value = error
-                                seq = self._sequence
-                                ready.append((stride + seq, proc))
-                                self._sequence = seq + 1
-                                break
-                            try:
-                                next_callbacks = next_event.callbacks
-                            except AttributeError:
-                                proc._ok = False
-                                proc._value = SimulationError(
-                                    f"process {proc.name} yielded a "
-                                    f"non-event: {next_event!r}")
-                                seq = self._sequence
-                                ready.append((stride + seq, proc))
-                                self._sequence = seq + 1
-                                break
-                            if next_callbacks is not None:
-                                next_callbacks.append(cb)
-                                proc._target = next_event
-                                break
-                            step_event = next_event
-                        step_event = None
-                        self._active_process = None
-                    elif func is allof_check:
-                        # Inlined AllOf._check + Event.succeed (keep in sync):
-                        # conditions over timeout batches are the fan-out shape.
-                        cond = cb.__self__
-                        if cond._ok is None:
-                            done = cond._done = cond._done + 1
-                            if not event._ok:
-                                event._defused = True
-                                cond.fail(event._value)
-                            elif done == len(cond._events):
-                                value = cond_value.__new__(cond_value)
-                                value.events = cond._events[:]
-                                cond._ok = True
-                                cond._value = value
-                                ready.append(
-                                    (stride + self._sequence, cond))
-                                self._sequence += 1
-                        elif event._ok is False and not event._defused:
-                            raise event._value
-                    elif func is anyof_check:
-                        # Inlined AnyOf._check + _succeed_with_done (keep in
-                        # sync): `a | b` waits are the poll-backoff shape.
-                        cond = cb.__self__
-                        if cond._ok is None:
-                            cond._done += 1
-                            if not event._ok:
-                                event._defused = True
-                                cond.fail(event._value)
-                            else:
-                                value = cond_value.__new__(cond_value)
-                                value.events = [e for e in cond._events
-                                                if e._ok is not None and e._ok]
-                                cond._ok = True
-                                cond._value = value
-                                ready.append(
-                                    (stride + self._sequence, cond))
-                                self._sequence += 1
-                        elif event._ok is False and not event._defused:
-                            raise event._value
-                    else:
-                        cb(event)
-                        if event._ok is False and not event._defused:
-                            raise event._value
-                else:
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event._defused:
-                        # An unhandled failure crashes the run, loudly.
-                        raise event._value
-                # -- timeout recycling: safe only when nothing else can
-                # observe the object (our local + getrefcount's argument).
-                if event.__class__ is timeout_cls and grc(event) == 2 \
-                        and len(pool) < pool_limit:
-                    if grc(callbacks) == 2:
-                        callbacks.clear()
-                        event.callbacks = callbacks
-                    else:
-                        event.callbacks = []
-                    pool.append(event)
-            if stop_event._ok is not None:
-                if not stop_event._ok:
-                    stop_event._defused = True
-                    raise stop_event._value
-                return stop_event._value
-            raise SimulationError(
-                "run(until=event) finished but the event never triggered")
-
-        # Drain to exhaustion or to stop_time; immediates always carry
-        # the current clock time, so only heap pops consult stop_time.
-        while True:
+        while target._ok is None:
+            # -- selection (batched: immediates drain at O(1) before
+            # the heap moves the clock; ties resolve by packed order)
             if urgent:
                 if queue and queue[0][0] == self._now \
                         and queue[0][1] < urgent[0][0]:
@@ -840,13 +591,16 @@ class Environment:
                 break
             if monitor is not None:
                 monitor(self._now)
-            # -- dispatch (same block as above; keep in sync)
+            # -- dispatch
             callbacks = event.callbacks
             event.callbacks = None
             if len(callbacks) == 1:
                 cb = callbacks[0]
-                func = cb.__func__ if cb.__class__ is method_type else None
-                if func is resume:
+                if cb.__class__ is method_type and cb.__func__ is resume:
+                    # Inlined Process._resume (keep in sync): step the
+                    # generator without the extra Python frame.  A failed
+                    # event is defused by the throw branch, so no
+                    # unhandled-failure check is needed here.
                     proc = cb.__self__
                     self._active_process = proc
                     send = proc._send
@@ -889,47 +643,7 @@ class Environment:
                             proc._target = next_event
                             break
                         step_event = next_event
-                    step_event = None
                     self._active_process = None
-                elif func is allof_check:
-                    # Inlined AllOf._check + Event.succeed (keep in sync):
-                    # conditions over timeout batches are the fan-out shape.
-                    cond = cb.__self__
-                    if cond._ok is None:
-                        done = cond._done = cond._done + 1
-                        if not event._ok:
-                            event._defused = True
-                            cond.fail(event._value)
-                        elif done == len(cond._events):
-                            value = cond_value.__new__(cond_value)
-                            value.events = cond._events[:]
-                            cond._ok = True
-                            cond._value = value
-                            ready.append(
-                                (stride + self._sequence, cond))
-                            self._sequence += 1
-                    elif event._ok is False and not event._defused:
-                        raise event._value
-                elif func is anyof_check:
-                    # Inlined AnyOf._check + _succeed_with_done (keep in
-                    # sync): `a | b` waits are the poll-backoff shape.
-                    cond = cb.__self__
-                    if cond._ok is None:
-                        cond._done += 1
-                        if not event._ok:
-                            event._defused = True
-                            cond.fail(event._value)
-                        else:
-                            value = cond_value.__new__(cond_value)
-                            value.events = [e for e in cond._events
-                                            if e._ok is not None and e._ok]
-                            cond._ok = True
-                            cond._value = value
-                            ready.append(
-                                (stride + self._sequence, cond))
-                            self._sequence += 1
-                    elif event._ok is False and not event._defused:
-                        raise event._value
                 else:
                     cb(event)
                     if event._ok is False and not event._defused:
@@ -940,14 +654,20 @@ class Environment:
                 if event._ok is False and not event._defused:
                     # An unhandled failure crashes the run, loudly.
                     raise event._value
-            if event.__class__ is timeout_cls and grc(event) == 2 \
-                    and len(pool) < pool_limit:
-                if grc(callbacks) == 2:
-                    callbacks.clear()
-                    event.callbacks = callbacks
-                else:
-                    event.callbacks = []
-                pool.append(event)
-        if stop_event is None and until is not None:
+
+        if target is until:
+            if target._ok is not None:
+                if not target._ok:
+                    target._defused = True
+                    raise target._value
+                return target._value
+            raise SimulationError(
+                "run(until=event) finished but the event never triggered")
+        if until is not None:
             self._now = stop_time
         return None
+
+
+#: The target of ``run()`` and ``run(until=time)``: it never triggers, so
+#: only empty queues or the stop time end the dispatch loop.
+_NEVER = Event(None)

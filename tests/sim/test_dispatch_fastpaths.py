@@ -1,11 +1,10 @@
 """Regression tests for the kernel's dispatch fast paths.
 
 The optimized kernel routes zero-delay events through deques instead of
-the heap and recycles Timeout instances through a free list.  These
-tests pin the observable contracts those fast paths must preserve:
-FIFO order among same-timestamp events (whether they live on the heap,
-the ready deque, or both) and recycled Timeouts that carry no state over
-from their previous life.
+the heap.  These tests pin the observable contracts that fast path must
+preserve: FIFO order among same-timestamp events (whether they live on
+the heap, the ready deque, or both), and each timeout delivering its own
+value.
 """
 
 from repro.sim import Environment
@@ -78,36 +77,6 @@ def test_process_creation_preempts_pending_same_time_events():
     assert log == ["child", "parent"]
 
 
-def test_timeouts_are_recycled_through_the_pool():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1.0, value="stale")
-        yield env.timeout(1.0)
-
-    env.process(worker(env))
-    env.run()
-    assert env._timeout_pool, "dispatched timeout should have been pooled"
-
-
-def test_recycled_timeout_carries_no_stale_state():
-    env = Environment()
-
-    def worker(env):
-        yield env.timeout(1.0, value="stale")
-        yield env.timeout(1.0)
-
-    env.process(worker(env))
-    env.run()
-    pooled = env._timeout_pool[-1]
-    fresh = env.timeout(2.0)
-    assert fresh is pooled              # identity reuse, not a new object
-    assert fresh._value is None         # no stale value
-    assert fresh.callbacks == []        # no stale callback
-    assert fresh.delay == 2.0
-    assert fresh._ok is True and fresh._defused is False
-
-
 def test_recycled_timeout_delivers_fresh_value():
     env = Environment()
     seen = []
@@ -120,17 +89,3 @@ def test_recycled_timeout_delivers_fresh_value():
     env.process(worker(env))
     env.run()
     assert seen == [("one", "two")]
-
-
-def test_pool_is_bounded():
-    from repro.sim.kernel import _TIMEOUT_POOL_LIMIT
-
-    env = Environment()
-
-    def worker(env):
-        for _ in range(_TIMEOUT_POOL_LIMIT + 200):
-            yield env.timeout(1.0)
-
-    env.process(worker(env))
-    env.run()
-    assert len(env._timeout_pool) <= _TIMEOUT_POOL_LIMIT

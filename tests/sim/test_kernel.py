@@ -8,6 +8,7 @@ from repro.sim import (
     Environment,
     Interrupt,
     SimulationError,
+    Timeout,
     join_all,
 )
 
@@ -41,6 +42,19 @@ def test_timeout_rejects_negative_delay():
     env = Environment()
     with pytest.raises(ValueError):
         env.timeout(-1.0)
+
+
+def test_timeout_rejects_nan_delay():
+    """A NaN delay would poison the heap: popping it sets the clock to
+    NaN.  The constructor rejects it like ``env.timeout`` does."""
+    env = Environment()
+    with pytest.raises(ValueError):
+        Timeout(env, float("nan"))
+    with pytest.raises(ValueError):
+        env.timeout(float("nan"))
+    assert env.peek() == float("inf")
+    env.run()
+    assert env.now == 0.0
 
 
 def test_process_return_value():
