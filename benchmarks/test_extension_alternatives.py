@@ -102,7 +102,7 @@ def test_extension_premium_plan_trade_off(benchmark):
             env = Environment()
             telemetry = Telemetry(clock=lambda: env.now)
             billing = BillingMeter(clock=lambda: env.now)
-            meter = TransactionMeter(clock=lambda: env.now)
+            meter = TransactionMeter()
             runtime = DurableFunctionsRuntime(
                 env, telemetry, billing, meter, RandomStreams(3), plan=plan)
             runtime.register_activity(FunctionSpec(

@@ -75,6 +75,12 @@ def _run_campaign(env_cls, elision: bool) -> dict:
             super().__init__(*args, **kwargs)
             created.append(self)
 
+        if not hasattr(env_cls, "close"):
+            def close(self):
+                """The seed kernel predates ``Environment.close``, which
+                ``execute_spec`` calls when the spec ends."""
+                self._queue.clear()
+
     spec = CampaignSpec(
         calibration_overrides={"azure.idle_poll_elision": elision},
         **WORKLOAD)

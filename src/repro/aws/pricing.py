@@ -60,10 +60,8 @@ class AWSPriceModel:
                                   operation="transition")
         express_requests = meter.count(service="stepfunctions-express",
                                        operation="request")
-        express_micro_gb_s = sum(
-            entry.size * entry.count for entry in meter.records
-            if entry.service == "stepfunctions-express"
-            and entry.operation == "duration")
+        express_micro_gb_s = meter.bytes_moved(
+            service="stepfunctions-express", operation="duration")
         express = (express_requests * self.calibration.express_request_price
                    + express_micro_gb_s / 1e6
                    * self.calibration.express_gb_s_price)

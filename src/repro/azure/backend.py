@@ -57,10 +57,11 @@ class AzureBackend(PlatformBackend):
         from repro.storage import BlobStore, TransactionMeter
         from repro.telemetry import Telemetry
 
-        clock = lambda: testbed.env.now  # noqa: E731 - tiny clock closure
+        env = testbed.env   # not testbed: the services would cycle back
+        clock = lambda: env.now  # noqa: E731 - tiny clock closure
         telemetry = Telemetry(clock, enabled=calibration.telemetry_spans)
         billing = BillingMeter(clock)
-        meter = TransactionMeter(clock)
+        meter = TransactionMeter()
         blob = BlobStore(testbed.env, meter,
                          testbed.streams.get("azure.blob"),
                          account="azblob")

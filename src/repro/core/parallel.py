@@ -489,7 +489,7 @@ def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
     streams, its run ids and the workload are all derived from the spec
     alone, so the same spec produces bit-identical results in any
     process.  Each campaign type's body returns its outcome with the
-    testbed of its audited pass, whose report is finalized here.
+    testbed of its audited pass, finalized and then closed here.
     """
     from repro.core import audit as audit_mod
     from repro.core.overload import overload_campaign
@@ -501,10 +501,13 @@ def execute_spec(spec: CampaignSpec) -> CampaignOutcome:
             "resilience": resilience_campaign,
             }.get(spec.campaign, _paper_campaign)
     testbed, outcome = body(spec, audit_mod.enabled_for(spec.audit))
-    if testbed.auditor is not None:
-        outcome.audit = testbed.auditor.finalize()
-        if audit_mod.RAISE_ON_VIOLATION:
-            outcome.audit.raise_if_violations(spec=spec)
+    try:
+        if testbed.auditor is not None:
+            outcome.audit = testbed.auditor.finalize()
+            if audit_mod.RAISE_ON_VIOLATION:
+                outcome.audit.raise_if_violations(spec=spec)
+    finally:
+        testbed.close()
     return outcome
 
 

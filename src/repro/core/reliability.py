@@ -80,6 +80,7 @@ def reliability_campaign(spec: CampaignSpec,
     """
     faulted = run_pass(spec, spec.fault_plan_obj(), audit=audit)
     baseline = run_pass(spec, None)
+    baseline.testbed.close()   # read below through its results alone
 
     campaign, cost = faulted.campaign, faulted.cost
     faults = faulted.testbed.faults

@@ -128,6 +128,7 @@ def resilience_campaign(spec: CampaignSpec,
     faulted = run_pass(spec, spec.fault_plan_obj(), audit=audit,
                        policy=policy)
     baseline = run_pass(spec, None, policy=backstop)
+    baseline.testbed.close()   # read below through its results alone
 
     campaign, cost, engine = faulted.campaign, faulted.cost, faulted.engine
     faults = faulted.testbed.faults

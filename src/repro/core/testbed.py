@@ -133,6 +133,14 @@ class Testbed:
         if self.auditor is not None:
             self.auditor.attach(self)
 
+    def close(self) -> None:
+        """Drop the pending events and unlink the auditor, so reference
+        counting frees the finished run.  Do not run a closed testbed;
+        its meters and telemetry stay readable."""
+        self.env.close()
+        if self.auditor is not None:
+            self.auditor.testbed = None
+
     def _host_crash_schedule(self) -> Generator:
         """Crash every platform's hosts at each scheduled chaos time.
 

@@ -56,10 +56,11 @@ class GCPBackend(PlatformBackend):
         from repro.storage import BlobStore, TransactionMeter
         from repro.telemetry import Telemetry
 
-        clock = lambda: testbed.env.now  # noqa: E731 - tiny clock closure
+        env = testbed.env   # not testbed: the services would cycle back
+        clock = lambda: env.now  # noqa: E731 - tiny clock closure
         telemetry = Telemetry(clock, enabled=calibration.telemetry_spans)
         billing = BillingMeter(clock)
-        meter = TransactionMeter(clock)
+        meter = TransactionMeter()
         blob = BlobStore(testbed.env, meter, testbed.streams.get("gcp.blob"),
                          account="gcs")
         stack = PlatformStack(telemetry, billing, meter, blob)

@@ -210,7 +210,7 @@ class Process(Event):
     (successfully, with the ``StopIteration`` value) or raises.
     """
 
-    __slots__ = ("_generator", "_send", "_target")
+    __slots__ = ("_generator", "_send", "_target", "__weakref__")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send"):
@@ -346,15 +346,24 @@ class Condition(Event):
             return
 
         # One pass: validate and subscribe together, with one bound
-        # method shared by every subscription instead of one per event.
+        # method shared by every subscription instead of one per event;
+        # once a processed member settles it, the rest are not subscribed.
         check = self._check
         for event in events:
             if event.env is not env:
                 raise SimulationError("events from different environments")
             if event.callbacks is None:
                 check(event)
-            else:
+            elif self._ok is None:
                 event.callbacks.append(check)
+
+    def _detach(self) -> None:
+        """Once settled, unsubscribe from the members still pending, so
+        a race's loser does not hold the condition and its winner."""
+        check = self._check
+        for event in self._events:
+            if event.callbacks and check in event.callbacks:
+                event.callbacks.remove(check)
 
 
 class AllOf(Condition):
@@ -369,6 +378,7 @@ class AllOf(Condition):
         if not event._ok:
             event._defused = True
             self.fail(event._value)
+            self._detach()
         elif done == len(self._events):
             # Every sub-event checked in without failing, so all are ok.
             self.succeed(ConditionValue(self._events))
@@ -389,6 +399,7 @@ class AnyOf(Condition):
         else:
             self.succeed(ConditionValue(
                 [e for e in self._events if e._ok is not None and e._ok]))
+        self._detach()
 
 
 def join_all(env: "Environment", processes: Sequence["Process"]) -> Generator:
@@ -525,6 +536,14 @@ class Environment:
         """Return an event that triggers when any of ``events`` has."""
         return AnyOf(self, events)
 
+    def close(self) -> None:
+        """Drop every pending event (each reaches back here through its
+        waiters) and the monitor.  Do not run a closed environment."""
+        self._queue.clear()
+        self._urgent.clear()
+        self._ready.clear()
+        self._monitor = None
+
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         if self._urgent or self._ready:
@@ -545,7 +564,8 @@ class Environment:
             target = _NEVER
             if until is not None:
                 stop_time = float(until)
-                if stop_time < self._now:
+                # Not ``stop_time < now``: that would accept NaN.
+                if not stop_time >= self._now:
                     raise SimulationError(
                         f"until ({stop_time}) lies in the past (now={self._now})")
 

@@ -8,7 +8,7 @@ for the paper's "transaction cost" price component).
 """
 
 from repro.storage.payload import Payload, estimate_size
-from repro.storage.meter import TransactionMeter, TransactionRecord
+from repro.storage.meter import TransactionMeter
 from repro.storage.blob import BlobStore, BlobNotFound
 from repro.storage.queue import CloudQueue, QueueMessage
 from repro.storage.table import (
@@ -29,6 +29,5 @@ __all__ = [
     "TableEntity",
     "TableStore",
     "TransactionMeter",
-    "TransactionRecord",
     "estimate_size",
 ]

@@ -2,46 +2,25 @@
 
 Azure bills Durable Functions users for every queue and table transaction
 the Durable Task Framework performs — including the constant queue polling
-that continues while the application is idle.  The meter records every
-operation with enough detail (service, operation, timestamp, byte size)
-for the pricing layer to reconstruct both providers' stateful cost
-components.
+that continues while the application is idle.  The pricing layer reads
+only per-key totals, so those are all the meter keeps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-
-@dataclass(frozen=True)
-class TransactionRecord:
-    """One or more identical billable storage operations.
-
-    ``count`` lets high-frequency periodic traffic (idle queue polling,
-    lease heartbeats) be metered in batches without creating one record
-    per poll over multi-day simulations.
-    """
-
-    time: float
-    service: str        # e.g. 'queue', 'table', 'blob'
-    account: str        # storage account / namespace
-    operation: str      # e.g. 'enqueue', 'poll', 'read', 'insert'
-    size: int = 0       # bytes moved, when meaningful
-    billable: bool = True
-    count: int = 1
+_FIELDS = ("service", "account", "operation", "billable")
 
 
 class TransactionMeter:
-    """Collects :class:`TransactionRecord` entries from storage services.
+    """``[count, bytes]`` per (service, account, operation, billable),
+    shared by all the storage services of one platform deployment.
+    Bytes is the sum of size × count; integer sums stay exact in any
+    order."""
 
-    A single meter is shared by all the storage services of one platform
-    deployment so that cost reports see every transaction in one place.
-    """
-
-    def __init__(self, clock: Optional[Callable[[], float]] = None):
-        self._clock = clock or (lambda: 0.0)
-        self.records: List[TransactionRecord] = []
+    def __init__(self):
+        self._totals: Dict[Tuple[str, str, str, bool], List[int]] = {}
         self._settlers: List[Callable[[], None]] = []
 
     def register_settler(self, settle: Callable[[], None]) -> None:
@@ -54,87 +33,71 @@ class TransactionMeter:
         self._settlers.append(settle)
 
     def settle(self) -> None:
-        """Flush all registered accrual providers into the record list."""
+        """Flush all registered accrual providers into the totals."""
         for settle in self._settlers:
             settle()
 
     def record(self, service: str, account: str, operation: str,
                size: int = 0, billable: bool = True,
-               count: int = 1) -> TransactionRecord:
-        """Append ``count`` identical transactions at the current time."""
+               count: int = 1) -> None:
+        """Add ``count`` identical transactions of ``size`` bytes each.
+
+        ``count`` lets high-frequency periodic traffic (idle queue
+        polling, lease heartbeats) be metered in one call.
+        """
         if count < 1:
             raise ValueError(f"count must be at least 1, got {count}")
-        entry = TransactionRecord(
-            time=self._clock(), service=service, account=account,
-            operation=operation, size=size, billable=billable, count=count)
-        self.records.append(entry)
-        return entry
+        key = (service, account, operation, billable)
+        totals = self._totals.get(key)
+        if totals is None:
+            self._totals[key] = [count, size * count]
+        else:
+            totals[0] += count
+            totals[1] += size * count
+
+    def _matching(self, *wanted: Any) -> List[List[int]]:
+        """The ``[count, bytes]`` of every key equal to ``wanted``
+        (service, account, operation, billable) wherever it is not None."""
+        self.settle()
+        return [totals for key, totals in self._totals.items()
+                if all(want is None or want == have
+                       for want, have in zip(wanted, key))]
 
     def count(self, service: Optional[str] = None,
               operation: Optional[str] = None,
               account: Optional[str] = None,
               billable_only: bool = True) -> int:
         """Number of recorded transactions matching the filters."""
-        self.settle()
-        return sum(entry.count for entry in self.records
-                   if (service is None or entry.service == service)
-                   and (operation is None or entry.operation == operation)
-                   and (account is None or entry.account == account)
-                   and (not billable_only or entry.billable))
+        return sum(count for count, _ in self._matching(
+            service, account, operation, billable_only or None))
 
     def counts_by(self, key: str = "operation",
                   billable_only: bool = True) -> Dict[str, int]:
-        """Histogram of transactions grouped by a record field."""
+        """Histogram of transactions grouped by one key field."""
+        if key not in _FIELDS:
+            raise ValueError(f"key must be one of {_FIELDS}, got {key!r}")
+        index = _FIELDS.index(key)
         self.settle()
         histogram: Dict[str, int] = {}
-        for entry in self.records:
-            if billable_only and not entry.billable:
-                continue
-            value = getattr(entry, key)
-            histogram[value] = histogram.get(value, 0) + entry.count
+        for fields, (count, _) in self._totals.items():
+            if fields[3] or not billable_only:
+                value = fields[index]
+                histogram[value] = histogram.get(value, 0) + count
         return histogram
 
-    def bytes_moved(self, service: Optional[str] = None) -> int:
+    def bytes_moved(self, service: Optional[str] = None,
+                    operation: Optional[str] = None) -> int:
         """Total payload bytes across matching transactions."""
-        self.settle()
-        return sum(entry.size * entry.count for entry in self.records
-                   if service is None or entry.service == service)
-
-    def between(self, start: float, end: float) -> List[TransactionRecord]:
-        """Records with ``start <= time < end``."""
-        self.settle()
-        return [entry for entry in self.records if start <= entry.time < end]
-
-    def window_counts(self, window: float) -> List[Tuple[float, int]]:
-        """Per-window transaction counts — exposes idle-time polling load."""
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.settle()
-        buckets: Dict[int, int] = {}
-        for entry in self.records:
-            buckets_key = int(entry.time // window)
-            buckets[buckets_key] = buckets.get(buckets_key, 0) + entry.count
-        return [(index * window, buckets[index]) for index in sorted(buckets)]
-
-    def merge(self, others: Iterable["TransactionMeter"]) -> "TransactionMeter":
-        """Return a new meter containing this meter's and others' records."""
-        self.settle()
-        merged = TransactionMeter(self._clock)
-        merged.records = list(self.records)
-        for other in others:
-            other.settle()
-            merged.records.extend(other.records)
-        merged.records.sort(key=lambda entry: entry.time)
-        return merged
+        return sum(size for _, size in self._matching(
+            service, None, operation))
 
     def reset(self) -> None:
-        """Drop all records (used between experiment iterations)."""
-        self.records.clear()
+        """Drop all totals (used between experiment iterations)."""
+        self._totals.clear()
 
     def __len__(self) -> int:
-        """Total transaction count (including batched records)."""
-        self.settle()
-        return sum(entry.count for entry in self.records)
+        """Total transaction count, billable or not."""
+        return sum(count for count, _ in self._matching())
 
     def __repr__(self) -> str:
-        return f"TransactionMeter(records={len(self.records)})"
+        return f"TransactionMeter(keys={len(self._totals)})"

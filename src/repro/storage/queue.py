@@ -270,9 +270,9 @@ class CloudQueue:
             interval = min(interval * 2.0, self.max_poll_interval)
 
     #: Elided idle waits also settle their accrued poll bill on a timer
-    #: at least this many backoff periods apart, bounding how stale the
-    #: meter's *timestamps* can get (totals are always exact — cost
-    #: readers settle on demand via the meter's settler hook).
+    #: at least this many backoff periods apart, bounding how long polls
+    #: stay unrecorded (totals read are always exact — cost readers
+    #: settle on demand via the meter's settler hook).
     SETTLE_PERIODS = 64.0
 
     def settle_idle_polls(self) -> None:

@@ -27,7 +27,7 @@ def billing(env):
 
 @pytest.fixture
 def meter(env):
-    return TransactionMeter(clock=lambda: env.now)
+    return TransactionMeter()
 
 
 @pytest.fixture

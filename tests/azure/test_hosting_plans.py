@@ -108,7 +108,7 @@ def test_netherite_mode_cuts_storage_transactions(env, telemetry, billing,
 
     def table_tx(netherite):
         local_env = Environment()
-        local_meter = TransactionMeter(clock=lambda: local_env.now)
+        local_meter = TransactionMeter()
         local_calibration = type(calibration)()
         local_calibration.execution_jitter = calibration.execution_jitter
         local_calibration.cpu_slowdown = 1.0

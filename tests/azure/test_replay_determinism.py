@@ -41,7 +41,7 @@ def build_runtime():
     runtime = DurableFunctionsRuntime(
         env, Telemetry(clock=lambda: env.now),
         BillingMeter(clock=lambda: env.now),
-        TransactionMeter(clock=lambda: env.now),
+        TransactionMeter(),
         RandomStreams(seed=1), calibration=calibration)
 
     def add_one(ctx, event):

@@ -33,7 +33,7 @@ from repro.storage.queue import CloudQueue
 
 def make_queue(elision, **kwargs):
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     queue = CloudQueue(env, meter, np.random.default_rng(0),
                        idle_poll_elision=elision, **kwargs)
     return env, meter, queue
@@ -127,14 +127,21 @@ class _InertFaults:
 @pytest.mark.parametrize("kwargs", [{"faults": _InertFaults()},
                                     {"max_depth": 100}],
                          ids=["fault-plan", "depth-bound"])
-def test_observable_timing_disables_elision(kwargs):
+def test_observable_timing_disables_elision(kwargs, monkeypatch):
     env, meter, queue = make_queue(elision=True, **kwargs)
+    poll_counts = []
+    record = meter.record
+
+    def spy(service, account, operation, size=0, billable=True, count=1):
+        if operation == "poll":
+            poll_counts.append(count)
+        record(service, account, operation, size, billable, count)
+
+    monkeypatch.setattr(meter, "record", spy)
     drain_receive(env, queue, deadline=600.0)
     # Sampled polling: one record per poll, nothing accrued lazily.
-    poll_records = [record for record in meter.records
-                    if record.operation == "poll"]
-    assert all(record.count == 1 for record in poll_records)
-    assert len(poll_records) > 10
+    assert all(count == 1 for count in poll_counts)
+    assert len(poll_counts) > 10
     assert not queue._idle_accruals
 
 

@@ -326,7 +326,7 @@ def test_draw_queue_faults_delay_and_duplicate():
 
 def test_cloud_queue_applies_delay_and_duplication():
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     plan = FaultPlan(queue_delay_probability=1.0, queue_delay_s=7.0,
                      queue_duplication_probability=1.0)
     injector = FaultInjector(plan=plan, streams=RandomStreams(seed=8))

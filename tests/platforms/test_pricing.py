@@ -62,6 +62,23 @@ def test_aws_express_charges_counted(aws_model):
     assert breakdown.stateful == pytest.approx(expected)
 
 
+def test_aws_express_duration_sums_every_machine(aws_model):
+    meter = TransactionMeter()
+    meter.record("stepfunctions-express", "orders", "request", count=2)
+    meter.record("stepfunctions-express", "orders", "duration",
+                 size=int(0.5 * 1e6), count=2)   # 2 runs of 0.5 GB-s
+    meter.record("stepfunctions-express", "invoices", "request")
+    meter.record("stepfunctions-express", "invoices", "duration",
+                 size=int(1.5 * 1e6))
+    # Other services' sizes and the requests' own sizes are not duration.
+    meter.record("stepfunctions", "orders", "transition", size=10 ** 9)
+    meter.record("stepfunctions-express", "orders", "request", size=10 ** 9)
+    breakdown = aws_model.breakdown(BillingMeter(), meter)
+    expected = 4 * 1e-6 + 2.5 * 1.667e-5
+    assert breakdown.express == pytest.approx(expected)
+    assert breakdown.transition_count == 1
+
+
 def test_azure_breakdown_components(azure_model):
     billing = BillingMeter()
     billing.charge_compute("f", 2.0, 2.0, memory_mb=512)   # 1 GB-s

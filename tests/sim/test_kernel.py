@@ -103,6 +103,17 @@ def test_run_until_past_time_raises():
         env.run(until=5.0)
 
 
+def test_run_until_nan_raises():
+    """NaN compares false against every clock, so a ``stop_time < now``
+    check would accept it, drain the queue and leave ``now == nan``."""
+    env = Environment()
+    env.timeout(5.0)
+    with pytest.raises(SimulationError):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+    assert env.peek() == 5.0
+
+
 def test_event_succeed_wakes_waiter():
     env = Environment()
     gate = env.event()
@@ -191,6 +202,42 @@ def test_any_of_returns_at_first_event():
     env.process(waiter(env))
     env.run()
     assert times == [2.0]
+
+
+def test_triggered_any_of_unsubscribes_from_pending_members():
+    """The loser of a race keeps no callback into the condition, so the
+    condition and the winner are not held until the loser fires."""
+    env = Environment()
+    fast, slow, gate = env.timeout(1.0), env.timeout(5.0), env.event()
+    race = AnyOf(env, [fast, slow, gate])
+    assert fast in env.run(until=race)
+    assert slow.callbacks == [] and gate.callbacks == []
+    # Settled at construction by a processed member: the others are
+    # never subscribed.
+    late = env.event()
+    assert AnyOf(env, [fast, late]).triggered
+    assert late.callbacks == []
+    env.run()
+    assert env.now == 5.0
+
+
+def test_failed_all_of_unsubscribes_from_pending_members():
+    env = Environment()
+    failing, pending = env.event(), env.event()
+    both = AllOf(env, [failing, env.timeout(1.0), pending])
+
+    def waiter(env):
+        try:
+            yield both
+        except ValueError:
+            return "caught"
+
+    process = env.process(waiter(env))
+    failing.fail(ValueError("boom"))
+    assert env.run(until=process) == "caught"
+    assert pending.callbacks == []
+    env.run()
+    assert env.now == 1.0
 
 
 def test_all_of_empty_list_is_immediate():

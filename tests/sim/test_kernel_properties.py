@@ -198,7 +198,7 @@ def test_every_drive_mode_gives_the_same_trace(programs, data):
 def test_queue_is_fifo_under_any_interleaving(payloads, seed):
     """Whatever the producer/consumer timing, delivery order == send order."""
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     rng = np.random.default_rng(seed)
     queue = CloudQueue(env, meter, rng, min_poll_interval=0.05,
                        max_poll_interval=2.0)
@@ -228,7 +228,7 @@ def test_queue_is_fifo_under_any_interleaving(payloads, seed):
 def test_queue_conserves_messages(n, seed):
     """No message is lost or duplicated when consumers ack promptly."""
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     queue = CloudQueue(env, meter, np.random.default_rng(seed),
                        visibility_timeout=10_000.0)
 

@@ -29,7 +29,7 @@ def env():
 
 @pytest.fixture
 def meter(env):
-    return TransactionMeter(clock=lambda: env.now)
+    return TransactionMeter()
 
 
 @pytest.fixture

@@ -54,7 +54,6 @@ def test_meter_count_includes_batches():
     meter.record("queue", "a", "poll", count=99)
     assert meter.count(service="queue") == 100
     assert len(meter) == 100
-    assert len(meter.records) == 2
 
 
 def test_meter_rejects_zero_count():
@@ -75,31 +74,6 @@ def test_meter_bytes_moved_scales_with_count():
     meter = TransactionMeter()
     meter.record("blob", "a", "put", size=100, count=3)
     assert meter.bytes_moved() == 300
-
-
-def test_meter_window_counts():
-    clock = {"now": 0.0}
-    meter = TransactionMeter(clock=lambda: clock["now"])
-    meter.record("queue", "a", "poll", count=5)
-    clock["now"] = 12.0
-    meter.record("queue", "a", "poll", count=2)
-    windows = meter.window_counts(window=10.0)
-    assert windows == [(0.0, 5), (10.0, 2)]
-    with pytest.raises(ValueError):
-        meter.window_counts(window=0)
-
-
-def test_meter_between_and_merge():
-    clock = {"now": 0.0}
-    first = TransactionMeter(clock=lambda: clock["now"])
-    second = TransactionMeter(clock=lambda: clock["now"])
-    first.record("queue", "a", "poll")
-    clock["now"] = 5.0
-    second.record("table", "a", "read")
-    merged = first.merge([second])
-    assert len(merged.records) == 2
-    assert [entry.service for entry in merged.records] == ["queue", "table"]
-    assert len(merged.between(0.0, 1.0)) == 1
 
 
 def test_meter_billable_filter():

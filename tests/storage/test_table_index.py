@@ -91,7 +91,7 @@ def reference_outcome(call, *args):
 def test_table_matches_flat_reference(seed):
     draw = np.random.default_rng(seed)
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     table = TableStore(env, meter, np.random.default_rng(seed))
     reference = ReferenceTable()
     operations = ("insert", "insert", "insert", "update", "update", "read",
@@ -105,7 +105,7 @@ def test_table_matches_flat_reference(seed):
         row = ROW_KEYS[draw.integers(len(ROW_KEYS))]
         value = {"step": step}
         size = int(draw.integers(0, 5000))
-        records = len(meter.records)
+        transactions = len(meter)
         if operation == "insert":
             got = outcome(env, table.insert(partition, row, value, size=size))
             want = reference_outcome(reference.insert, partition, row, value,
@@ -123,11 +123,14 @@ def test_table_matches_flat_reference(seed):
             got = outcome(env, table.read(partition, row))
             want = reference_outcome(reference.read, partition, row)
         elif operation == "read_partition":
+            queries = meter.counts_by("operation").get("query", 0)
+            query_bytes = meter.bytes_moved(operation="query")
             got = outcome(env, table.read_partition(partition))
             values, query_size = reference.read_partition(partition)
             want = "ok", values
-            assert meter.records[-1].operation == "query"
-            assert meter.records[-1].size == query_size
+            assert meter.counts_by("operation")["query"] == queries + 1
+            assert meter.bytes_moved(operation="query") == (query_bytes
+                                                            + query_size)
         elif operation == "delete":
             got = outcome(env, table.delete(partition, row))
             want = reference_outcome(reference.delete, partition, row)
@@ -135,7 +138,7 @@ def test_table_matches_flat_reference(seed):
             got = outcome(env, table.delete_partition(partition))
             want = reference_outcome(reference.delete_partition, partition)
         assert got == want, (step, operation, partition, row)
-        assert len(meter.records) == records + 1
+        assert len(meter) == transactions + 1
 
         assert len(table) == len(reference.rows)
         for pk in PARTITIONS:
@@ -148,21 +151,22 @@ def test_table_matches_flat_reference(seed):
 
 def test_read_partition_orders_row_keys_as_strings():
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     table = TableStore(env, meter, np.random.default_rng(0))
     for row_key in ("commit-10", "commit-000001", "commit-2", "commit-1"):
         outcome(env, table.insert("history", row_key, row_key, size=10))
     outcome(env, table.insert("other", "commit-0", "noise", size=99))
     assert outcome(env, table.read_partition("history")) == (
         "ok", ["commit-000001", "commit-1", "commit-10", "commit-2"])
-    assert meter.records[-1].size == 40
+    assert meter.bytes_moved(operation="query") == 40
     assert outcome(env, table.read_partition("absent")) == ("ok", [])
-    assert meter.records[-1].size == 0
+    assert meter.counts_by("operation")["query"] == 2
+    assert meter.bytes_moved(operation="query") == 40
 
 
 def test_deleting_last_row_leaves_an_empty_partition():
     env = Environment()
-    meter = TransactionMeter(clock=lambda: env.now)
+    meter = TransactionMeter()
     table = TableStore(env, meter, np.random.default_rng(0))
     outcome(env, table.insert("p", "r", 1))
     outcome(env, table.delete("p", "r"))
