@@ -10,10 +10,11 @@
     python -m repro paper     # condensed everything
 
 Each subcommand builds fresh testbeds, runs the campaign on the simulated
-clock and prints the corresponding table/figure.  Campaign commands
-accept ``--platforms``/``-p`` (a comma list of registered backends, e.g.
-``-p aws,gcp``) to restrict which platforms' variants run; the default
-is every registered backend.
+clock and prints the corresponding table/figure.  The campaign commands
+are the rows of :data:`COMMANDS`, and :func:`run_commands` builds, runs
+and renders every one of them.  They accept ``--platforms``/``-p`` (a
+comma list of registered backends, e.g. ``-p aws,gcp``) to restrict
+which platforms' variants run; the default is every registered backend.
 
 Campaigns fan out across ``--workers``/``-j`` worker processes and land
 in an on-disk result cache (``~/.cache/repro/campaigns`` or
@@ -35,133 +36,104 @@ run.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
+import itertools
 import json
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
+from repro.core.audit import collect_violations, merge_reports
 from repro.core.cache import ResultCache
 from repro.core.checkpoint import JournalError, SweepJournal
 from repro.core.costs import monthly_projection
 from repro.core.experiment import ColdStartCampaign
-from repro.core.overload import ratio
-from repro.core.parallel import CampaignSpec
-from repro.core.persistence import save_results
 from repro.core.metrics import percentile
+from repro.core.mitigation import MitigationPolicy
+from repro.core.overload import ratio
+from repro.core.parallel import (
+    VARIANT_PLATFORMS,
+    WORKLOAD_VARIANTS,
+    CampaignOutcome,
+    CampaignSpec,
+)
+from repro.core.persistence import save_results
 from repro.core.report import render_bars, render_table
 from repro.core.supervise import SupervisedRunner
 from repro.platforms.backend import backend_names
 from repro.platforms.faults import FaultPlan
 
-ML_VARIANTS = ["AWS-Lambda", "AWS-Step", "Az-Func", "Az-Queue", "Az-Dorch",
-               "Az-Dent", "GCP-Func", "GCP-Flows"]
-
-#: Which registered backend each deployment variant runs on.
-VARIANT_PLATFORMS = {
-    "AWS-Lambda": "aws", "AWS-Step": "aws",
-    "Az-Func": "azure", "Az-Queue": "azure",
-    "Az-Dorch": "azure", "Az-Dent": "azure",
-    "GCP-Func": "gcp", "GCP-Flows": "gcp",
-}
+ML_VARIANTS = WORKLOAD_VARIANTS["ml-training"]
+#: each platform's orchestrated variant
+ORCHESTRATED = ("AWS-Step", "Az-Dorch", "GCP-Flows")
+#: the variants the overload sweeps push past saturation by default
+OVERLOADED = ("AWS-Step", "Az-Func", "GCP-Func")
 
 
-def _variants(value: str) -> List[str]:
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    unknown = [name for name in names if name not in ML_VARIANTS]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown variants: {unknown}; choose from {ML_VARIANTS}")
-    return names
+# -- argument types ---------------------------------------------------------
+
+def _bounded(kind: type, low: float, high: Optional[float] = None,
+             strict: bool = False) -> Callable[[str], Any]:
+    """A parser of one ``kind`` number at least ``low`` (above it when
+    ``strict``) and at most ``high``."""
+    if high is not None:
+        rule = f"must lie in [{low:g}, {high:g}]"
+    else:
+        rule = f"must be {'>' if strict else '>='} {low:g}"
+
+    def parse(text: str) -> Any:
+        try:
+            number = kind(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from error
+        if not ((number > low if strict else number >= low)
+                and (high is None or number <= high)):
+            raise argparse.ArgumentTypeError(rule)
+        return number
+    return parse
 
 
-def _platforms(value: str) -> List[str]:
-    names = [name.strip() for name in value.split(",") if name.strip()]
-    known = list(backend_names())
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown platforms: {unknown}; choose from {known}")
-    return names
+def _one_of(what: str,
+            known: Callable[[], Sequence[str]]) -> Callable[[str], str]:
+    """A parser of one name from ``known()``."""
+    def parse(name: str) -> str:
+        if name not in known():
+            raise argparse.ArgumentTypeError(
+                f"unknown {what} {name!r}; choose from {list(known())}")
+        return name
+    return parse
 
 
-def _selected_platforms(args: argparse.Namespace) -> List[str]:
-    """The ``--platforms`` selection, defaulting to every backend."""
-    return getattr(args, "platforms", None) or list(backend_names())
+def _list_of(parse: Callable[[str], Any]) -> Callable[[str], List[Any]]:
+    """A parser of a non-empty comma list whose items ``parse`` reads."""
+    def parse_list(text: str) -> List[Any]:
+        items = [parse(item.strip()) for item in text.split(",")
+                 if item.strip()]
+        if not items:
+            raise argparse.ArgumentTypeError("expected a comma list")
+        return items
+    return parse_list
 
 
-def _filter_variants(names, platforms: List[str]) -> List[str]:
-    """The variants from ``names`` whose platform is selected."""
-    kept = [name for name in names
-            if VARIANT_PLATFORMS.get(name) in platforms]
-    if not kept:
-        raise SystemExit(
-            f"no variants left after --platforms {','.join(platforms)}; "
-            f"the requested variants were {list(names)}")
-    return kept
-
-
-def _positive_int(value: str) -> int:
-    try:
-        count = int(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    if count < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return count
-
-
-def _probability(value: str) -> float:
-    try:
-        probability = float(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    if not 0.0 <= probability <= 1.0:
-        raise argparse.ArgumentTypeError("must lie in [0, 1]")
-    return probability
-
-
-def _probability_list(value: str) -> List[float]:
-    return [_probability(item) for item in value.split(",") if item.strip()]
-
-
-def _rate_list(value: str) -> List[float]:
-    try:
-        rates = [float(item) for item in value.split(",") if item.strip()]
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    if not rates or any(rate <= 0 for rate in rates):
-        raise argparse.ArgumentTypeError("arrival rates must be positive")
-    return rates
-
-
-def _worker_list(value: str) -> List[int]:
-    try:
-        workers = [int(item) for item in value.split(",") if item.strip()]
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    if not workers or any(count < 1 for count in workers):
-        raise argparse.ArgumentTypeError("worker counts must be positive")
-    return workers
-
-
-def _nonnegative_int(value: str) -> int:
-    try:
-        count = int(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    if count < 0:
-        raise argparse.ArgumentTypeError("must be >= 0")
-    return count
-
-
-def _positive_float(value: str) -> float:
-    try:
-        number = float(value)
-    except ValueError as error:
-        raise argparse.ArgumentTypeError(str(error)) from error
-    if number <= 0:
-        raise argparse.ArgumentTypeError("must be positive")
-    return number
+_positive_int = _bounded(int, 1)
+_nonnegative_int = _bounded(int, 0)
+_positive_float = _bounded(float, 0, strict=True)
+_probability = _bounded(float, 0, 1)
+_worker_list = _list_of(_positive_int)
+_rate_list = _list_of(_positive_float)
+_variants = _list_of(_one_of("variant", lambda: ML_VARIANTS))
+_platforms = _list_of(_one_of("platform", backend_names))
 
 
 def _cache(args: argparse.Namespace) -> Optional[ResultCache]:
@@ -235,16 +207,145 @@ def _run_specs(args: argparse.Namespace, specs) -> list:
     return result.outcomes
 
 
-def cmd_latency(args: argparse.Namespace) -> int:
-    variants = _filter_variants(args.variants, _selected_platforms(args))
-    specs = [CampaignSpec(deployment=name, workload="ml-training",
-                          scale=args.scale, iterations=args.iterations,
-                          warmup=1, seed=args.seed)
-             for name in variants]
-    outcomes = _run_specs(args, specs)
+# -- campaign commands: one table row each ----------------------------------
+
+@dataclass
+class Grid:
+    """A campaign grid: one spec per (swept value, variant), value-major,
+    and once run, the outcomes in the same order."""
+
+    variants: Sequence[str]
+    values: Sequence[Any]
+    #: ``spec(args, value, variant)`` builds one cell's spec
+    spec: Callable[[argparse.Namespace, Any, str], CampaignSpec]
+    specs: List[CampaignSpec] = field(default_factory=list)
+    outcomes: List[CampaignOutcome] = field(default_factory=list)
+
+    def build(self, args: argparse.Namespace,
+              platforms: Sequence[str]) -> List[CampaignSpec]:
+        """The cells' specs, keeping the variants of ``platforms``."""
+        requested = self.variants
+        self.variants = [name for name in requested
+                         if VARIANT_PLATFORMS.get(name) in platforms]
+        if not self.variants:
+            raise SystemExit(
+                f"no variants left after --platforms "
+                f"{','.join(platforms)}; the requested variants were "
+                f"{list(requested)}")
+        self.specs = [self.spec(args, value, name) for value in self.values
+                      for name in self.variants]
+        return self.specs
+
+    def cells(self, part: Optional[str] = None
+              ) -> List[Tuple[Any, str, Any]]:
+        """``(value, variant, outcome)`` per spec in sweep order, or the
+        outcome's ``part`` in place of the outcome."""
+        keys = [(value, name) for value in self.values
+                for name in self.variants]
+        return [(value, name,
+                 outcome if part is None else getattr(outcome, part))
+                for (value, name), outcome in zip(keys, self.outcomes)]
+
+    def by_platform(self, part: str) -> Dict[str, List[Any]]:
+        """The ``part`` of each distinct cell's outcome, grouped by
+        platform in registry order."""
+        summaries = {(value, name): summary
+                     for value, name, summary in self.cells(part)}.values()
+        grouped = {platform: [summary for summary in summaries
+                              if summary.platform == platform]
+                   for platform in backend_names()}
+        return {platform: group for platform, group in grouped.items()
+                if group}
+
+
+class Command(NamedTuple):
+    """One campaign command: its ``--help`` line, its own flags, fixed
+    settings it takes no flag for, the grids it sweeps, and the report
+    ``render(args, *grids)`` prints, returning the exit code."""
+
+    help: str
+    arguments: Tuple[Tuple[Tuple[str, ...], Dict[str, Any]], ...]
+    grids: Callable[[argparse.Namespace], List[Grid]]
+    render: Callable[..., int]
+    defaults: Dict[str, Any] = {}
+    #: report violated invariants in the table instead of failing the
+    #: audited spec
+    reports_violations: bool = False
+
+
+def run_commands(args: argparse.Namespace, names: Sequence[str]) -> int:
+    """Build the named commands' grids from ``args``, run all their
+    specs as one sweep, then print each command's report in turn.
+
+    A setting a constructor or calibration rejects exits before any
+    worker starts.  Returns the largest exit code of the reports.
+    """
+    platforms = getattr(args, "platforms", None) or backend_names()
+    try:
+        grids = [COMMANDS[name].grids(args) for name in names]
+        specs = [spec for group in grids for grid in group
+                 for spec in grid.build(args, platforms)]
+        # Overridden calibrations are validated only when applied.
+        for spec in {spec.calibration_overrides: spec
+                     for spec in specs}.values():
+            spec.calibrations()
+    except ValueError as error:
+        raise SystemExit(f"repro: {error}") from error
+    collecting = any(COMMANDS[name].reports_violations for name in names)
+    with collect_violations() if collecting else contextlib.nullcontext():
+        outcomes = iter(_run_specs(args, specs))
+    codes = []
+    for name, group in zip(names, grids):
+        if codes:
+            print()
+        for grid in group:
+            grid.outcomes = list(itertools.islice(outcomes, len(grid.specs)))
+        codes.append(COMMANDS[name].render(args, *group))
+    return max(codes)
+
+
+def _arg(*flags: str, **options: Any):
+    """One ``add_argument`` call, as data."""
+    return flags, options
+
+
+def _iterations(default: int, **options: Any):
+    return _arg("--iterations", type=_positive_int, default=default,
+                **options)
+
+
+def _variant_flag(default: Sequence[str], **options: Any):
+    return _arg("--variants", type=_variants, default=list(default),
+                **options)
+
+
+_SCALE = _arg("--scale", choices=["small", "large"], default="small")
+_JOBS_ALIAS = _arg("--workers", type=_positive_int, dest="jobs",
+                   metavar="N", default=argparse.SUPPRESS,
+                   help="campaign worker processes (alias for -j)")
+#: with ``--audit`` a spec's ``audit`` is True; without it None, so
+#: :data:`repro.core.audit.DEFAULT_AUDIT` decides (``args.audit or None``)
+_AUDIT = _arg("--audit", action="store_true",
+              help="verify runtime invariants during the sweep (raises on "
+                   "violation)")
+_RETRIES = _arg("--retries", type=_positive_int, default=3,
+                help="total attempts synthesized per activity/state "
+                     "(default 3)")
+#: the grid value of a command that sweeps nothing
+_ONCE = (None,)
+
+
+def _ml_spec(args: argparse.Namespace, _, name: str,
+             workload: str = "ml-training") -> CampaignSpec:
+    return CampaignSpec(deployment=name, workload=workload,
+                        scale=args.scale, iterations=args.iterations,
+                        warmup=1, seed=args.seed)
+
+
+def _render_latency(args: argparse.Namespace, grid: Grid) -> int:
     rows = []
-    for name, outcome in zip(variants, outcomes):
-        stats = outcome.campaign.stats()
+    for _, name, campaign in grid.cells("campaign"):
+        stats = campaign.stats()
         rows.append([name, stats.median, stats.p95, stats.p99])
     print(render_table(["variant", "median s", "p95 s", "p99 s"], rows,
                        title=f"ML training latency ({args.scale}, "
@@ -252,89 +353,83 @@ def cmd_latency(args: argparse.Namespace) -> int:
     if getattr(args, "save", None):
         path = save_results(
             args.save,
-            campaigns=[outcome.campaign for outcome in outcomes],
-            cost_reports=[outcome.cost for outcome in outcomes],
+            campaigns=[outcome.campaign for outcome in grid.outcomes],
+            cost_reports=[outcome.cost for outcome in grid.outcomes],
             metadata={"command": "latency", "scale": args.scale,
                       "iterations": args.iterations, "seed": args.seed})
         print(f"\nresults saved to {path}")
     return 0
 
 
-def cmd_inference(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["AWS-Step", "Az-Dorch", "Az-Dent",
-                                 "GCP-Flows"], _selected_platforms(args))
-    specs = [CampaignSpec(deployment=name, workload="ml-inference",
-                          scale=args.scale, iterations=args.iterations,
-                          warmup=1, seed=args.seed)
-             for name in variants]
-    outcomes = _run_specs(args, specs)
-    rows = [[name, outcome.campaign.stats().median,
-             outcome.campaign.stats().p99]
-            for name, outcome in zip(variants, outcomes)]
+def _render_inference(args: argparse.Namespace, grid: Grid) -> int:
+    rows = [[name, campaign.stats().median, campaign.stats().p99]
+            for _, name, campaign in grid.cells("campaign")]
     print(render_table(["variant", "median s", "p99 s"], rows,
                        title=f"ML inference latency ({args.scale})"))
     return 0
 
 
-def cmd_coldstart(args: argparse.Namespace) -> int:
-    interval_s = 3600.0
-    if ColdStartCampaign(interval_s, args.days).request_count < 1:
+COLDSTART_INTERVAL_S = 3600.0
+
+
+def _coldstart_grids(args: argparse.Namespace) -> List[Grid]:
+    if ColdStartCampaign(COLDSTART_INTERVAL_S, args.days).request_count < 1:
         raise SystemExit(f"repro: --days {args.days:g} is shorter than "
-                         f"one request interval ({interval_s:g} s), so "
-                         f"no request would be sent")
-    variants = _filter_variants(["Az-Queue", "AWS-Step", "Az-Dorch",
-                                 "Az-Dent", "GCP-Flows"],
-                                _selected_platforms(args))
-    specs = [CampaignSpec(deployment=name, workload="ml-training",
-                          scale="small", campaign="coldstart",
-                          interval_s=interval_s, days=args.days,
-                          seed=args.seed)
-             for name in variants]
-    outcomes = _run_specs(args, specs)
-    data = {name: percentile(outcome.campaign.cold_start_delays, 50)
-            for name, outcome in zip(variants, outcomes)}
-    request_count = len(outcomes[0].campaign.runs)
+                         f"one request interval "
+                         f"({COLDSTART_INTERVAL_S:g} s), so no request "
+                         f"would be sent")
+    return [Grid(("Az-Queue", "AWS-Step", "Az-Dorch", "Az-Dent",
+                  "GCP-Flows"), _ONCE, _coldstart_spec)]
+
+
+def _coldstart_spec(args: argparse.Namespace, _, name: str) -> CampaignSpec:
+    return CampaignSpec(deployment=name, workload="ml-training",
+                        scale="small", campaign="coldstart",
+                        interval_s=COLDSTART_INTERVAL_S, days=args.days,
+                        seed=args.seed)
+
+
+def _render_coldstart(args: argparse.Namespace, grid: Grid) -> int:
+    data = {name: percentile(campaign.cold_start_delays, 50)
+            for _, name, campaign in grid.cells("campaign")}
+    request_count = len(grid.outcomes[0].campaign.runs)
     print(render_bars(data, title=f"Cold start delay, median of "
                                   f"{request_count} hourly "
                                   "requests", unit="s"))
     return 0
 
 
-def cmd_video(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["AWS-Step", "Az-Dorch", "GCP-Flows"],
-                                _selected_platforms(args))
-    specs = []
-    for workers in args.workers:
-        for name in variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="video", fanout=workers,
-                campaign="latency", iterations=1, warmup=0,
-                think_time_s=0.0, settle_time_s=0.0, seed=args.seed,
-                invoke_kwargs={"n_workers": workers}))
-    outcomes = iter(_run_specs(args, specs))
-    rows = []
-    for workers in args.workers:
-        row = [workers]
-        for _ in variants:
-            row.append(next(outcomes).campaign.latencies[0])
-        rows.append(row)
-    print(render_table(["workers"] + [f"{name} (s)" for name in variants],
+def _video_spec(args: argparse.Namespace, workers: int,
+                name: str) -> CampaignSpec:
+    return CampaignSpec(
+        deployment=name, workload="video", fanout=workers,
+        campaign="latency", iterations=1, warmup=0, think_time_s=0.0,
+        settle_time_s=0.0, seed=args.seed,
+        invoke_kwargs={"n_workers": workers})
+
+
+def _render_video(args: argparse.Namespace, grid: Grid) -> int:
+    width = len(grid.variants)
+    rows = [[workers] + [outcome.campaign.latencies[0] for outcome
+                         in grid.outcomes[index * width:(index + 1) * width]]
+            for index, workers in enumerate(grid.values)]
+    print(render_table(["workers"]
+                       + [f"{name} (s)" for name in grid.variants],
                        rows, title="Video processing latency vs workers"))
     return 0
 
 
-def cmd_cost(args: argparse.Namespace) -> int:
-    variants = _filter_variants(["AWS-Step", "Az-Dorch", "GCP-Flows"],
-                                _selected_platforms(args))
-    specs = [CampaignSpec(
+def _cost_spec(args: argparse.Namespace, _, name: str) -> CampaignSpec:
+    return CampaignSpec(
         deployment=name, workload="video", fanout=args.workers,
         campaign="latency", iterations=args.measured_runs, warmup=0,
         think_time_s=30.0, settle_time_s=0.0, seed=args.seed,
         idle_window_s=3600.0 if name == "Az-Dorch" else 0.0)
-        for name in variants]
-    outcomes = _run_specs(args, specs)
+
+
+def _render_cost(args: argparse.Namespace, grid: Grid) -> int:
     rows = []
-    for name, outcome in zip(variants, outcomes):
+    for _, name, outcome in grid.cells():
         idle = outcome.idle_transactions * 24 * 30
         projected = monthly_projection(outcome.cost, args.runs_per_month,
                                        idle_transactions_per_month=idle)
@@ -349,36 +444,30 @@ def cmd_cost(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_reliability(args: argparse.Namespace) -> int:
+def _reliability_grids(args: argparse.Namespace) -> List[Grid]:
     """Crash-probability sweep: the per-platform price of reliability."""
-    audit = True if getattr(args, "audit", False) else None
-    variants = _filter_variants(args.variants, _selected_platforms(args))
-    probabilities = args.sweep if args.sweep else [args.crash_prob]
-    specs = []
-    for probability in probabilities:
-        plan = FaultPlan(crash_probability=probability,
-                         error_probability=args.error_prob,
-                         straggler_probability=args.straggler_prob,
-                         retry_max_attempts=args.retries)
-        for name in variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="ml-training", scale=args.scale,
-                campaign="reliability", iterations=args.iterations,
-                warmup=1, seed=args.seed, fault_plan=plan.to_items(),
-                audit=audit))
-    outcomes = iter(_run_specs(args, specs))
+    plans = [FaultPlan(crash_probability=probability,
+                       error_probability=args.error_prob,
+                       straggler_probability=args.straggler_prob,
+                       retry_max_attempts=args.retries)
+             for probability in args.sweep or [args.crash_prob]]
+    return [Grid(args.variants, plans, _reliability_spec)]
 
-    rows = []
-    summaries = {}
-    for probability in probabilities:
-        for name in variants:
-            summary = next(outcomes).reliability
-            summaries[(probability, name)] = summary
-            rows.append([
-                name, probability, f"{summary.success_rate:.0%}",
-                summary.retries, round(summary.wasted_gb_s, 3),
-                round(summary.cost_amplification, 3),
-                round(summary.tail_inflation, 3)])
+
+def _reliability_spec(args: argparse.Namespace, plan: FaultPlan,
+                      name: str) -> CampaignSpec:
+    return CampaignSpec(
+        deployment=name, workload="ml-training", scale=args.scale,
+        campaign="reliability", iterations=args.iterations, warmup=1,
+        seed=args.seed, fault_plan=plan.to_items(), audit=args.audit or None)
+
+
+def _render_reliability(args: argparse.Namespace, grid: Grid) -> int:
+    rows = [[name, plan.crash_probability, f"{summary.success_rate:.0%}",
+             summary.retries, round(summary.wasted_gb_s, 3),
+             round(summary.cost_amplification, 3),
+             round(summary.tail_inflation, 3)]
+            for plan, name, summary in grid.cells("reliability")]
     print(render_table(
         ["variant", "crash p", "success", "retries", "wasted GB-s",
          "cost amp", "tail infl"],
@@ -386,7 +475,7 @@ def cmd_reliability(args: argparse.Namespace) -> int:
                     f"{args.iterations} iterations, "
                     f"{args.retries} attempts)"))
 
-    by_platform = _group_by_platform(summaries.values())
+    by_platform = grid.by_platform("reliability")
     if by_platform:
         print("\nTakeaways (per platform):")
         amplifications = {}
@@ -407,63 +496,41 @@ def cmd_reliability(args: argparse.Namespace) -> int:
     return 0
 
 
-def _group_by_platform(summaries) -> dict:
-    """Summaries keyed by platform, in registry order."""
-    grouped = {}
-    for name in backend_names():
-        group = [summary for summary in summaries
-                 if summary.platform == name]
-        if group:
-            grouped[name] = group
-    return grouped
-
-
-def cmd_resilience(args: argparse.Namespace) -> int:
-    """Outage-window sweep: availability, MTTR, burn and SLO verdicts."""
-    from repro.core.mitigation import MitigationPolicy
-    audit = True if getattr(args, "audit", False) else None
-    variants = _filter_variants(args.variants, _selected_platforms(args))
-    durations = args.sweep if args.sweep else [args.outage_duration]
+def _resilience_spec(args: argparse.Namespace, duration: float,
+                     name: str) -> CampaignSpec:
+    """One variant through one outage window, behind the mitigation
+    stack the flags describe."""
+    plan = FaultPlan(
+        outage_windows=[(args.outage_start, duration)],
+        outage_mode=args.mode, gray_latency_factor=args.gray_factor,
+        gray_error_probability=args.gray_error_prob,
+        brownout_delay_s=args.brownout,
+        partition_drop_probability=args.partition_drop,
+        retry_max_attempts=args.retries)
     policy = MitigationPolicy(
         breaker_failure_threshold=args.breaker_threshold,
         breaker_recovery_timeout_s=args.breaker_timeout,
         hedge_after_s=args.hedge_after,
         deadline_factor=args.deadline_factor,
         request_timeout_s=args.request_timeout)
-    specs = []
-    for duration in durations:
-        plan = FaultPlan(
-            outage_windows=[(args.outage_start, duration)],
-            outage_mode=args.mode,
-            gray_latency_factor=args.gray_factor,
-            gray_error_probability=args.gray_error_prob,
-            brownout_delay_s=args.brownout,
-            partition_drop_probability=args.partition_drop,
-            retry_max_attempts=args.retries)
-        for name in variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="ml-training", scale=args.scale,
-                campaign="resilience", iterations=args.iterations,
-                warmup=1, seed=args.seed, fault_plan=plan.to_items(),
-                mitigation=policy.to_items(),
-                slo_availability=args.slo_availability,
-                slo_p99_s=args.slo_p99, audit=audit))
-    outcomes = iter(_run_specs(args, specs))
+    return CampaignSpec(
+        deployment=name, workload="ml-training", scale=args.scale,
+        campaign="resilience", iterations=args.iterations, warmup=1,
+        seed=args.seed, fault_plan=plan.to_items(),
+        mitigation=policy.to_items(),
+        slo_availability=args.slo_availability, slo_p99_s=args.slo_p99,
+        audit=args.audit or None)
 
-    rows = []
-    summaries = {}
-    for duration in durations:
-        for name in variants:
-            summary = next(outcomes).resilience
-            summaries[(duration, name)] = summary
-            rows.append([
-                name, duration, f"{summary.availability:.1%}",
-                round(summary.mean_recovery_time_s, 1),
-                round(summary.error_budget_burn, 2),
-                summary.hedges_launched,
-                round(summary.hedge_overspend_gb_s, 3),
-                round(summary.mitigation_cost_overhead, 3),
-                "PASS" if summary.slo_met else "FAIL"])
+
+def _render_resilience(args: argparse.Namespace, grid: Grid) -> int:
+    """Outage-window sweep: availability, MTTR, burn and SLO verdicts."""
+    rows = [[name, duration, f"{summary.availability:.1%}",
+             round(summary.mean_recovery_time_s, 1),
+             round(summary.error_budget_burn, 2), summary.hedges_launched,
+             round(summary.hedge_overspend_gb_s, 3),
+             round(summary.mitigation_cost_overhead, 3),
+             "PASS" if summary.slo_met else "FAIL"]
+            for duration, name, summary in grid.cells("resilience")]
     slo_label = f"{args.slo_availability:.1%} avail"
     if args.slo_p99:
         slo_label += f", p99 <= {args.slo_p99:g}s"
@@ -473,7 +540,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         rows, title=f"Resilience through a {args.mode} outage at "
                     f"t={args.outage_start:.0f}s (SLO {slo_label})"))
 
-    by_platform = _group_by_platform(summaries.values())
+    by_platform = grid.by_platform("resilience")
     if by_platform:
         print("\nTakeaways (per platform):")
         worst_avail = {}
@@ -504,10 +571,9 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_overload(args: argparse.Namespace) -> int:
-    """Open-loop rate sweep past saturation: 429s, backpressure, shedding."""
-    audit = True if getattr(args, "audit", False) else None
-    variants = _filter_variants(args.variants, _selected_platforms(args))
+def _overload_spec(args: argparse.Namespace, rate: float,
+                   name: str) -> CampaignSpec:
+    """Open-loop load at ``rate`` past the capacity the flags set."""
     overrides = {
         "aws.concurrency_limit": args.concurrency,
         "aws.burst_concurrency": args.burst,
@@ -517,36 +583,28 @@ def cmd_overload(args: argparse.Namespace) -> int:
         "azure.shed_deadline_s": args.shed_deadline,
         "gcp.max_instances": args.gcp_max_instances,
     }
-    specs = []
-    for rate in args.rates:
-        for name in variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="ml-training", scale=args.scale,
-                campaign="overload", arrival=args.arrival,
-                arrival_rate_per_s=rate, horizon_s=args.horizon,
-                seed=args.seed, calibration_overrides=overrides,
-                audit=audit))
-    outcomes = iter(_run_specs(args, specs))
+    return CampaignSpec(
+        deployment=name, workload="ml-training", scale=args.scale,
+        campaign="overload", arrival=args.arrival, arrival_rate_per_s=rate,
+        horizon_s=args.horizon, seed=args.seed,
+        calibration_overrides=overrides, audit=args.audit or None)
 
-    rows = []
-    summaries = {}
-    for rate in args.rates:
-        for name in variants:
-            summary = next(outcomes).overload
-            summaries[(rate, name)] = summary
-            rows.append([
-                name, rate, summary.offered, summary.succeeded,
-                summary.throttled, summary.shed, summary.failed,
-                round(summary.goodput_per_s, 3),
-                round(summary.retry_amplification, 2),
-                round(summary.p99_latency_s, 1)])
+
+def _render_overload(args: argparse.Namespace, grid: Grid) -> int:
+    """Open-loop rate sweep past saturation: 429s, backpressure, shedding."""
+    rows = [[name, rate, summary.offered, summary.succeeded,
+             summary.throttled, summary.shed, summary.failed,
+             round(summary.goodput_per_s, 3),
+             round(summary.retry_amplification, 2),
+             round(summary.p99_latency_s, 1)]
+            for rate, name, summary in grid.cells("overload")]
     print(render_table(
         ["variant", "rate/s", "offered", "ok", "429", "shed", "failed",
          "goodput/s", "retry amp", "p99 s"],
         rows, title=f"Overload sweep ({args.scale}, {args.arrival} "
                     f"arrivals, {args.horizon:.0f}s horizon)"))
 
-    by_platform = _group_by_platform(summaries.values())
+    by_platform = grid.by_platform("overload")
     if by_platform:
         top = max(args.rates)
         print("\nTakeaways (per platform):")
@@ -580,19 +638,13 @@ def _tail_inflation(summaries) -> float:
     return ratio(ordered[-1].p99_latency_s, ordered[0].p99_latency_s)
 
 
-def cmd_audit(args: argparse.Namespace) -> int:
-    """Audited chaos + overload sweeps with a per-invariant verdict table.
+def _audit_grids(args: argparse.Namespace) -> List[Grid]:
+    """Audited chaos + overload sweeps.
 
-    Runs a reliability sweep (crashes, transient errors, queue chaos)
-    and an overload sweep (past saturation on both platforms) with the
-    invariant auditor enabled, then reports per-invariant pass/violation
-    counts.  Exit code 1 when any invariant was violated.
+    A reliability sweep (crashes, transient errors, queue chaos) and an
+    overload sweep (past saturation on every platform), both with the
+    invariant auditor on.
     """
-    from repro.core.audit import collect_violations, merge_reports
-
-    variants = _filter_variants(args.variants, _selected_platforms(args))
-    overload_variants = _filter_variants(
-        ["AWS-Step", "Az-Func", "GCP-Func"], _selected_platforms(args))
     plans = [
         FaultPlan(crash_probability=0.15,
                   retry_max_attempts=args.retries),
@@ -602,44 +654,28 @@ def cmd_audit(args: argparse.Namespace) -> int:
                   queue_duplication_probability=0.3,
                   retry_max_attempts=args.retries),
     ]
-    specs = []
-    for plan in plans:
-        for name in variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="ml-training", scale=args.scale,
-                campaign="reliability", iterations=args.iterations,
-                warmup=1, seed=args.seed, fault_plan=plan.to_items(),
-                audit=True))
-    overrides = {
-        "aws.concurrency_limit": 8, "aws.burst_concurrency": 8,
-        "aws.refill_per_s": 1.0, "azure.max_instances": 2,
-        "azure.queue_depth_limit": 12, "azure.shed_deadline_s": 30.0,
-        "gcp.max_instances": 2,
-    }
-    for rate in args.rates:
-        for name in overload_variants:
-            specs.append(CampaignSpec(
-                deployment=name, workload="ml-training", scale=args.scale,
-                campaign="overload", arrival="poisson",
-                arrival_rate_per_s=rate, horizon_s=args.horizon,
-                seed=args.seed, calibration_overrides=overrides,
-                audit=True))
+    return [Grid(args.variants, plans, _reliability_spec),
+            Grid(OVERLOADED, args.rates, _overload_spec)]
 
-    with collect_violations():
-        outcomes = _run_specs(args, specs)
 
+def _render_audit(args: argparse.Namespace, reliability: Grid,
+                  overload: Grid) -> int:
+    """The per-invariant verdict table; exit 1 on any violation."""
+    outcomes = reliability.outcomes + overload.outcomes
     reports = [outcome.audit for outcome in outcomes]
     merged = merge_reports(reports)
     rows = [[invariant, passes, fails, "VIOLATED" if fails else "ok"]
             for invariant, (passes, fails) in merged.items()]
     print(render_table(
         ["invariant", "passes", "violations", "verdict"], rows,
-        title=f"Invariant audit: {len(specs)} campaigns "
-              f"({len(plans)}x{len(variants)} reliability + "
-              f"{len(args.rates)}x{len(overload_variants)} overload)"))
+        title=f"Invariant audit: {len(outcomes)} campaigns "
+              f"({len(reliability.values)}x{len(reliability.variants)} "
+              f"reliability + {len(overload.values)}x"
+              f"{len(overload.variants)} overload)"))
 
     failed = False
-    for spec, report in zip(specs, reports):
+    for outcome in outcomes:
+        report, spec = outcome.audit, outcome.spec
         if report is None or report.passed:
             continue
         failed = True
@@ -652,6 +688,173 @@ def cmd_audit(args: argparse.Namespace) -> int:
     if not failed:
         print("\nall invariants held across the sweep")
     return 1 if failed else 0
+
+
+#: Every campaign command.  ``run_commands`` builds, runs and renders
+#: them all the same way; ``build_parser`` registers each one with the
+#: shared cache, platform and supervision flags.
+COMMANDS: Dict[str, Command] = {
+    "latency": Command(
+        "ML training latency across variants (Fig 6)",
+        (_SCALE, _iterations(10), _variant_flag(ML_VARIANTS), _JOBS_ALIAS),
+        lambda args: [Grid(args.variants, _ONCE, _ml_spec)],
+        _render_latency),
+    "inference": Command(
+        "ML inference latency (Fig 9)",
+        (_SCALE, _iterations(10), _JOBS_ALIAS),
+        lambda args: [Grid(WORKLOAD_VARIANTS["ml-inference"], _ONCE,
+                           functools.partial(_ml_spec,
+                                             workload="ml-inference"))],
+        _render_inference),
+    "coldstart": Command(
+        "hourly cold-start campaign (Fig 10)",
+        (_arg("--days", type=_positive_float, default=4.0), _JOBS_ALIAS),
+        _coldstart_grids, _render_coldstart),
+    "video": Command(
+        "video fan-out scaling (Fig 12); use -j for worker processes",
+        (_arg("--workers", type=_worker_list,
+              default=[1, 5, 10, 20, 40, 80],
+              help="fan-out widths to sweep (paper x-axis)"),),
+        lambda args: [Grid(ORCHESTRATED, args.workers, _video_spec)],
+        _render_video),
+    "cost": Command(
+        "monthly video cost projection (Fig 15); use -j for worker "
+        "processes",
+        (_arg("--workers", type=_positive_int, default=20,
+              help="fan-out width of the measured deployment"),
+         _arg("--runs-per-month", type=_nonnegative_int, default=30),
+         _arg("--measured-runs", type=_positive_int, default=4)),
+        lambda args: [Grid(ORCHESTRATED, _ONCE, _cost_spec)],
+        _render_cost),
+    "reliability": Command(
+        "inject faults and measure the price of reliability",
+        (_arg("--crash-prob", type=_probability, default=0.1,
+              help="per-invocation container crash probability "
+                   "(default 0.1)"),
+         _arg("--sweep", type=_list_of(_probability), default=None,
+              metavar="P1,P2,...",
+              help="sweep several crash probabilities (overrides "
+                   "--crash-prob)"),
+         _arg("--error-prob", type=_probability, default=0.0,
+              help="transient handler exception probability"),
+         _arg("--straggler-prob", type=_probability, default=0.0,
+              help="invocation straggler probability"),
+         _RETRIES, _variant_flag(ORCHESTRATED), _SCALE, _iterations(5),
+         _JOBS_ALIAS, _AUDIT),
+        _reliability_grids, _render_reliability),
+    "resilience": Command(
+        "drive workloads through correlated outage windows with "
+        "client-side mitigation and report SLO verdicts",
+        (_arg("--outage-start", type=float, default=120.0,
+              help="outage window start, simulated seconds (default 120)"),
+         _arg("--outage-duration", type=float, default=60.0,
+              help="outage window length in seconds (default 60)"),
+         _arg("--sweep", type=_rate_list, default=None, metavar="D1,D2,...",
+              help="sweep several outage durations (overrides "
+                   "--outage-duration)"),
+         _arg("--mode", choices=["crash", "gray"], default="crash",
+              help="what the window does: crash drops warm pools and "
+                   "kills in-window runs; gray slows and errors them "
+                   "(default crash)"),
+         _arg("--gray-factor", type=float, default=3.0,
+              help="gray-mode latency multiplier (default 3)"),
+         _arg("--gray-error-prob", type=_probability, default=0.2,
+              help="gray-mode transient-error probability (default 0.2)"),
+         _arg("--brownout", type=float, default=0.0,
+              help="extra queue delay inside the window, seconds "
+                   "(default 0)"),
+         _arg("--partition-drop", type=_probability, default=0.0,
+              help="in-window probability the broker drops a message "
+                   "(default 0)"),
+         _RETRIES,
+         _arg("--hedge-after", type=float, default=30.0,
+              help="hedge a duplicate attempt after this many seconds; "
+                   "0 disables (default 30)"),
+         _arg("--breaker-threshold", type=int, default=3,
+              help="consecutive failures that open the circuit; 0 "
+                   "disables (default 3)"),
+         _arg("--breaker-timeout", type=float, default=30.0,
+              help="breaker open-state dwell before a half-open probe "
+                   "(default 30)"),
+         _arg("--deadline-factor", type=float, default=6.0,
+              help="abandon calls past this multiple of the latency "
+                   "EWMA; 0 disables (default 6)"),
+         _arg("--request-timeout", type=float, default=240.0,
+              help="hard per-call timeout backstop, seconds (default 240)"),
+         _arg("--slo-availability", type=_probability, default=0.999,
+              help="availability SLO target (default 0.999)"),
+         _arg("--slo-p99", type=float, default=0.0,
+              help="p99 latency SLO in seconds; 0 disables (default 0)"),
+         _variant_flag(ORCHESTRATED), _SCALE, _iterations(6), _JOBS_ALIAS,
+         _AUDIT),
+        lambda args: [Grid(args.variants,
+                           args.sweep or [args.outage_duration],
+                           _resilience_spec)],
+        _render_resilience),
+    "overload": Command(
+        "sweep open-loop arrival rates past saturation: throttling, "
+        "backpressure and load shedding",
+        (_arg("--rates", type=_rate_list, default=[0.2, 0.5, 1.0, 2.0],
+              metavar="R1,R2,...",
+              help="offered arrival rates in req/s (default "
+                   "0.2,0.5,1.0,2.0)"),
+         _arg("--horizon", type=_positive_float, default=120.0,
+              help="arrival window length in seconds (default 120)"),
+         _arg("--arrival", choices=["poisson", "uniform", "bursty"],
+              default="poisson",
+              help="open-loop arrival process (default poisson)"),
+         _variant_flag(OVERLOADED), _SCALE,
+         _arg("--concurrency", type=_positive_int, default=24,
+              help="AWS concurrent execution limit (default 24)"),
+         _arg("--burst", type=_positive_int, default=24,
+              help="AWS token-bucket burst capacity (default 24)"),
+         _arg("--refill", type=float, default=4.0,
+              help="AWS token-bucket refill rate per second (default 4)"),
+         _arg("--max-instances", type=_positive_int, default=4,
+              help="Azure scale-controller instance cap (default 4)"),
+         _arg("--queue-depth", type=_positive_int, default=48,
+              help="Azure dispatch/work-item queue depth bound "
+                   "(default 48)"),
+         _arg("--shed-deadline", type=float, default=45.0,
+              help="Azure queue-wait budget in seconds before work is "
+                   "shed (default 45)"),
+         _arg("--gcp-max-instances", type=_positive_int, default=4,
+              help="GCP Cloud Functions gen1 instance cap — one request "
+                   "per instance (default 4)"),
+         _JOBS_ALIAS, _AUDIT),
+        lambda args: [Grid(args.variants, args.rates, _overload_spec)],
+        _render_overload),
+    "audit": Command(
+        "verify runtime invariants (conservation, billing, delivery "
+        "semantics) across chaos and overload sweeps",
+        (_variant_flag(ORCHESTRATED,
+                       help="reliability-sweep variants (default "
+                            "AWS-Step,Az-Dorch,GCP-Flows)"),
+         _SCALE,
+         _iterations(3, help="measured runs per reliability campaign "
+                             "(default 3)"),
+         _RETRIES,
+         _arg("--rates", type=_rate_list, default=[0.5, 2.0],
+              metavar="R1,R2,...",
+              help="overload-sweep arrival rates in req/s (default "
+                   "0.5,2.0)"),
+         _arg("--horizon", type=_positive_float, default=60.0,
+              help="overload arrival window in seconds (default 60)"),
+         _JOBS_ALIAS),
+        _audit_grids, _render_audit, reports_violations=True,
+        # the auditor always runs, and the overload sweep saturates a
+        # small fixed capacity with Poisson arrivals
+        defaults={"audit": True, "arrival": "poisson", "concurrency": 8,
+                  "burst": 8, "refill": 1.0, "max_instances": 2,
+                  "queue_depth": 12, "shed_deadline": 30.0,
+                  "gcp_max_instances": 2}),
+}
+
+#: ``repro paper``: these commands at these settings, as one sweep
+PAPER_COMMANDS = ("latency", "video", "coldstart")
+PAPER_SETTINGS = {"scale": "small", "iterations": 8,
+                  "variants": ML_VARIANTS, "workers": [1, 20, 80],
+                  "days": 1.0}
 
 
 def cmd_takeaways(args: argparse.Namespace) -> int:
@@ -837,17 +1040,7 @@ def cmd_fuzz_shrink(args: argparse.Namespace) -> int:
 def cmd_paper(args: argparse.Namespace) -> int:
     print("Condensed paper reproduction "
           "(full version: pytest benchmarks/ --benchmark-only -s)\n")
-    args.scale = "small"
-    args.iterations = 8
-    args.variants = ML_VARIANTS
-    cmd_latency(args)
-    print()
-    args.workers = [1, 20, 80]
-    cmd_video(args)
-    print()
-    args.days = 1.0
-    cmd_coldstart(args)
-    return 0
+    return run_commands(args, PAPER_COMMANDS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -859,28 +1052,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--save", metavar="PATH", default=None,
                         help="write campaign results to a JSON file "
                              "(latency command)")
-    parser.add_argument("--jobs", "-j", type=_positive_int, default=1,
-                    metavar="N",
-                        help="campaign worker processes (default 1)")
-    parser.add_argument("--no-cache", action="store_true",
-                        help="do not read or write the campaign cache")
-    parser.add_argument("--cache-dir", metavar="PATH", default=None,
-                        help="campaign cache directory (default "
-                             "$REPRO_CACHE_DIR or ~/.cache/repro/campaigns)")
     # The cache/jobs flags also work after the subcommand (the natural
     # place to type them); SUPPRESS keeps the top-level values when
     # absent.
     cache_opts = argparse.ArgumentParser(add_help=False)
-    cache_opts.add_argument("--no-cache", action="store_true",
-                            default=argparse.SUPPRESS,
-                            help=argparse.SUPPRESS)
-    cache_opts.add_argument("--cache-dir", metavar="PATH",
-                            default=argparse.SUPPRESS,
-                            help=argparse.SUPPRESS)
-    cache_opts.add_argument("--jobs", "-j", type=_positive_int,
-                            dest="jobs",
-                            metavar="N", default=argparse.SUPPRESS,
-                            help=argparse.SUPPRESS)
+    for flags, options in (
+            _arg("--jobs", "-j", type=_positive_int, default=1, metavar="N",
+                 help="campaign worker processes (default 1)"),
+            _arg("--no-cache", action="store_true", default=False,
+                 help="do not read or write the campaign cache"),
+            _arg("--cache-dir", metavar="PATH", default=None,
+                 help="campaign cache directory (default "
+                      "$REPRO_CACHE_DIR or ~/.cache/repro/campaigns)")):
+        parser.add_argument(*flags, **options)
+        cache_opts.add_argument(*flags, **dict(
+            options, default=argparse.SUPPRESS, help=argparse.SUPPRESS))
     # Campaign commands take a backend selection; the default (None)
     # means every registered backend.
     platform_opts = argparse.ArgumentParser(add_help=False)
@@ -912,230 +1098,15 @@ def build_parser() -> argparse.ArgumentParser:
              "or timeouts (default %(default)s)")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    latency = commands.add_parser(
-        "latency", parents=[cache_opts, platform_opts, supervise_opts], help="ML training latency across variants (Fig 6)")
-    latency.add_argument("--scale", choices=["small", "large"],
-                         default="small")
-    latency.add_argument("--iterations", type=_positive_int, default=10)
-    latency.add_argument("--variants", type=_variants, default=ML_VARIANTS)
-    latency.add_argument("--workers", type=_positive_int, dest="jobs",
-                         metavar="N",
-                         default=argparse.SUPPRESS,
-                         help="campaign worker processes (alias for -j)")
-    latency.set_defaults(func=cmd_latency)
-
-    inference = commands.add_parser(
-        "inference", parents=[cache_opts, platform_opts, supervise_opts], help="ML inference latency (Fig 9)")
-    inference.add_argument("--scale", choices=["small", "large"],
-                           default="small")
-    inference.add_argument("--iterations", type=_positive_int, default=10)
-    inference.add_argument("--workers", type=_positive_int, dest="jobs",
-                         metavar="N",
-                           default=argparse.SUPPRESS,
-                           help="campaign worker processes (alias for -j)")
-    inference.set_defaults(func=cmd_inference)
-
-    coldstart = commands.add_parser(
-        "coldstart", parents=[cache_opts, platform_opts, supervise_opts], help="hourly cold-start campaign (Fig 10)")
-    coldstart.add_argument("--days", type=_positive_float, default=4.0)
-    coldstart.add_argument("--workers", type=_positive_int, dest="jobs",
-                         metavar="N",
-                           default=argparse.SUPPRESS,
-                           help="campaign worker processes (alias for -j)")
-    coldstart.set_defaults(func=cmd_coldstart)
-
-    video = commands.add_parser(
-        "video", parents=[cache_opts, platform_opts, supervise_opts], help="video fan-out scaling (Fig 12); use -j for "
-                      "worker processes")
-    video.add_argument("--workers", type=_worker_list,
-                       default=[1, 5, 10, 20, 40, 80],
-                       help="fan-out widths to sweep (paper x-axis)")
-    video.set_defaults(func=cmd_video)
-
-    cost = commands.add_parser(
-        "cost", parents=[cache_opts, platform_opts, supervise_opts], help="monthly video cost projection (Fig 15); use -j for "
-                     "worker processes")
-    cost.add_argument("--workers", type=_positive_int, default=20,
-                      help="fan-out width of the measured deployment")
-    cost.add_argument("--runs-per-month", type=int, default=30)
-    cost.add_argument("--measured-runs", type=_positive_int, default=4)
-    cost.set_defaults(func=cmd_cost)
-
-    reliability = commands.add_parser(
-        "reliability", parents=[cache_opts, platform_opts, supervise_opts],
-        help="inject faults and measure the price of reliability")
-    reliability.add_argument("--crash-prob", type=_probability, default=0.1,
-                             help="per-invocation container crash "
-                                  "probability (default 0.1)")
-    reliability.add_argument("--sweep", type=_probability_list, default=None,
-                             metavar="P1,P2,...",
-                             help="sweep several crash probabilities "
-                                  "(overrides --crash-prob)")
-    reliability.add_argument("--error-prob", type=_probability, default=0.0,
-                             help="transient handler exception probability")
-    reliability.add_argument("--straggler-prob", type=_probability,
-                             default=0.0,
-                             help="invocation straggler probability")
-    reliability.add_argument("--retries", type=_positive_int, default=3,
-                             help="total attempts synthesized per "
-                                  "activity/state (default 3)")
-    reliability.add_argument("--variants", type=_variants,
-                             default=["AWS-Step", "Az-Dorch", "GCP-Flows"])
-    reliability.add_argument("--scale", choices=["small", "large"],
-                             default="small")
-    reliability.add_argument("--iterations", type=_positive_int, default=5)
-    reliability.add_argument("--workers", type=_positive_int, dest="jobs",
-                             metavar="N", default=argparse.SUPPRESS,
-                             help="campaign worker processes (alias for -j)")
-    reliability.add_argument("--audit", action="store_true",
-                             help="verify runtime invariants during the "
-                                  "sweep (raises on violation)")
-    reliability.set_defaults(func=cmd_reliability)
-
-    resilience = commands.add_parser(
-        "resilience", parents=[cache_opts, platform_opts, supervise_opts],
-        help="drive workloads through correlated outage windows with "
-             "client-side mitigation and report SLO verdicts")
-    resilience.add_argument("--outage-start", type=float, default=120.0,
-                            help="outage window start, simulated seconds "
-                                 "(default 120)")
-    resilience.add_argument("--outage-duration", type=float, default=60.0,
-                            help="outage window length in seconds "
-                                 "(default 60)")
-    resilience.add_argument("--sweep", type=_rate_list, default=None,
-                            metavar="D1,D2,...",
-                            help="sweep several outage durations "
-                                 "(overrides --outage-duration)")
-    resilience.add_argument("--mode", choices=["crash", "gray"],
-                            default="crash",
-                            help="what the window does: crash drops warm "
-                                 "pools and kills in-window runs; gray "
-                                 "slows and errors them (default crash)")
-    resilience.add_argument("--gray-factor", type=float, default=3.0,
-                            help="gray-mode latency multiplier (default 3)")
-    resilience.add_argument("--gray-error-prob", type=_probability,
-                            default=0.2,
-                            help="gray-mode transient-error probability "
-                                 "(default 0.2)")
-    resilience.add_argument("--brownout", type=float, default=0.0,
-                            help="extra queue delay inside the window, "
-                                 "seconds (default 0)")
-    resilience.add_argument("--partition-drop", type=_probability,
-                            default=0.0,
-                            help="in-window probability the broker drops "
-                                 "a message (default 0)")
-    resilience.add_argument("--retries", type=_positive_int, default=3,
-                            help="total attempts synthesized per "
-                                 "activity/state (default 3)")
-    resilience.add_argument("--hedge-after", type=float, default=30.0,
-                            help="hedge a duplicate attempt after this "
-                                 "many seconds; 0 disables (default 30)")
-    resilience.add_argument("--breaker-threshold", type=int, default=3,
-                            help="consecutive failures that open the "
-                                 "circuit; 0 disables (default 3)")
-    resilience.add_argument("--breaker-timeout", type=float, default=30.0,
-                            help="breaker open-state dwell before a "
-                                 "half-open probe (default 30)")
-    resilience.add_argument("--deadline-factor", type=float, default=6.0,
-                            help="abandon calls past this multiple of the "
-                                 "latency EWMA; 0 disables (default 6)")
-    resilience.add_argument("--request-timeout", type=float, default=240.0,
-                            help="hard per-call timeout backstop, seconds "
-                                 "(default 240)")
-    resilience.add_argument("--slo-availability", type=_probability,
-                            default=0.999,
-                            help="availability SLO target (default 0.999)")
-    resilience.add_argument("--slo-p99", type=float, default=0.0,
-                            help="p99 latency SLO in seconds; 0 disables "
-                                 "(default 0)")
-    resilience.add_argument("--variants", type=_variants,
-                            default=["AWS-Step", "Az-Dorch", "GCP-Flows"])
-    resilience.add_argument("--scale", choices=["small", "large"],
-                            default="small")
-    resilience.add_argument("--iterations", type=_positive_int, default=6)
-    resilience.add_argument("--workers", type=_positive_int, dest="jobs",
-                            metavar="N", default=argparse.SUPPRESS,
-                            help="campaign worker processes (alias for -j)")
-    resilience.add_argument("--audit", action="store_true",
-                            help="verify runtime invariants during the "
-                                 "sweep (raises on violation)")
-    resilience.set_defaults(func=cmd_resilience)
-
-    overload = commands.add_parser(
-        "overload", parents=[cache_opts, platform_opts, supervise_opts],
-        help="sweep open-loop arrival rates past saturation: throttling, "
-             "backpressure and load shedding")
-    overload.add_argument("--rates", type=_rate_list,
-                          default=[0.2, 0.5, 1.0, 2.0], metavar="R1,R2,...",
-                          help="offered arrival rates in req/s "
-                               "(default 0.2,0.5,1.0,2.0)")
-    overload.add_argument("--horizon", type=_positive_float, default=120.0,
-                          help="arrival window length in seconds "
-                               "(default 120)")
-    overload.add_argument("--arrival", choices=["poisson", "uniform",
-                                                "bursty"],
-                          default="poisson",
-                          help="open-loop arrival process (default poisson)")
-    overload.add_argument("--variants", type=_variants,
-                          default=["AWS-Step", "Az-Func", "GCP-Func"])
-    overload.add_argument("--scale", choices=["small", "large"],
-                          default="small")
-    overload.add_argument("--concurrency", type=_positive_int, default=24,
-                          help="AWS concurrent execution limit (default 24)")
-    overload.add_argument("--burst", type=_positive_int, default=24,
-                          help="AWS token-bucket burst capacity "
-                               "(default 24)")
-    overload.add_argument("--refill", type=float, default=4.0,
-                          help="AWS token-bucket refill rate per second "
-                               "(default 4)")
-    overload.add_argument("--max-instances", type=_positive_int, default=4,
-                          help="Azure scale-controller instance cap "
-                               "(default 4)")
-    overload.add_argument("--queue-depth", type=_positive_int, default=48,
-                          help="Azure dispatch/work-item queue depth bound "
-                               "(default 48)")
-    overload.add_argument("--shed-deadline", type=float, default=45.0,
-                          help="Azure queue-wait budget in seconds before "
-                               "work is shed (default 45)")
-    overload.add_argument("--gcp-max-instances", type=_positive_int,
-                          default=4,
-                          help="GCP Cloud Functions gen1 instance cap — "
-                               "one request per instance (default 4)")
-    overload.add_argument("--workers", type=_positive_int, dest="jobs",
-                          metavar="N", default=argparse.SUPPRESS,
-                          help="campaign worker processes (alias for -j)")
-    overload.add_argument("--audit", action="store_true",
-                          help="verify runtime invariants during the "
-                               "sweep (raises on violation)")
-    overload.set_defaults(func=cmd_overload)
-
-    audit = commands.add_parser(
-        "audit", parents=[cache_opts, platform_opts, supervise_opts],
-        help="verify runtime invariants (conservation, billing, delivery "
-             "semantics) across chaos and overload sweeps")
-    audit.add_argument("--variants", type=_variants,
-                       default=["AWS-Step", "Az-Dorch", "GCP-Flows"],
-                       help="reliability-sweep variants "
-                            "(default AWS-Step,Az-Dorch,GCP-Flows)")
-    audit.add_argument("--scale", choices=["small", "large"],
-                       default="small")
-    audit.add_argument("--iterations", type=_positive_int, default=3,
-                       help="measured runs per reliability campaign "
-                            "(default 3)")
-    audit.add_argument("--retries", type=_positive_int, default=3,
-                       help="total attempts synthesized per activity/state "
-                            "(default 3)")
-    audit.add_argument("--rates", type=_rate_list, default=[0.5, 2.0],
-                       metavar="R1,R2,...",
-                       help="overload-sweep arrival rates in req/s "
-                            "(default 0.5,2.0)")
-    audit.add_argument("--horizon", type=_positive_float, default=60.0,
-                       help="overload arrival window in seconds "
-                            "(default 60)")
-    audit.add_argument("--workers", type=_positive_int, dest="jobs",
-                       metavar="N", default=argparse.SUPPRESS,
-                       help="campaign worker processes (alias for -j)")
-    audit.set_defaults(func=cmd_audit)
+    for name, command in COMMANDS.items():
+        subparser = commands.add_parser(
+            name, parents=[cache_opts, platform_opts, supervise_opts],
+            help=command.help)
+        for flags, options in command.arguments:
+            subparser.add_argument(*flags, **options)
+        subparser.set_defaults(
+            func=functools.partial(run_commands, names=(name,)),
+            **command.defaults)
 
     takeaways = commands.add_parser(
         "takeaways", help="re-derive the paper's key-takeaway bullets")
@@ -1143,7 +1114,8 @@ def build_parser() -> argparse.ArgumentParser:
     takeaways.set_defaults(func=cmd_takeaways)
 
     cache = commands.add_parser(
-        "cache", parents=[cache_opts], help="inspect or clear the campaign result cache")
+        "cache", parents=[cache_opts],
+        help="inspect or clear the campaign result cache")
     cache.add_argument("--clear", action="store_true",
                        help="delete every cached campaign")
     cache.set_defaults(func=cmd_cache)
@@ -1211,8 +1183,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz_shrink.set_defaults(func=cmd_fuzz_shrink)
 
     paper = commands.add_parser(
-        "paper", parents=[cache_opts, platform_opts], help="condensed run of the main experiments")
-    paper.set_defaults(func=cmd_paper)
+        "paper", parents=[cache_opts, platform_opts],
+        help="condensed run of the main experiments")
+    paper.set_defaults(func=cmd_paper, **PAPER_SETTINGS)
     return parser
 
 

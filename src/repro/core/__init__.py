@@ -72,10 +72,11 @@ from repro.core.fuzz import (
     shrink,
 )
 from repro.platforms.faults import FaultInjector, FaultPlan
+# The IR's ``parallel`` combinator stays in ``repro.core.workflow``:
+# re-exported here it would shadow the ``repro.core.parallel`` module.
 from repro.core.workflow import (
     Workflow,
     map_over,
-    parallel,
     sequence,
     task,
 )
@@ -137,7 +138,6 @@ __all__ = [
     "percentile",
     "summarize",
     "map_over",
-    "parallel",
     "sequence",
     "task",
 ]

@@ -71,6 +71,9 @@ def monthly_projection(report: CostReport, runs_per_month: int,
     Azure's constant queue polling bills ``idle_transactions_per_month``
     even when no workflow runs; AWS's idle term is zero.
     """
+    if runs_per_month < 0:
+        raise ValueError(
+            f"runs_per_month must be non-negative, got {runs_per_month}")
     idle_cost = idle_transactions_per_month * transaction_price
     return CostReport(
         deployment=report.deployment, platform=report.platform,

@@ -69,6 +69,7 @@ from repro.core.cache import ResultCache, write_atomic
 from repro.core.checkpoint import SweepJournal
 from repro.core.parallel import (
     ARRIVAL_KINDS,
+    VARIANT_PLATFORMS,
     WORKLOAD_VARIANTS,
     CampaignOutcome,
     CampaignSpec,
@@ -95,15 +96,6 @@ FORMAT_VERSION = 1
 #: must find, shrink and replay.
 PLANT_ENV = "REPRO_FUZZ_PLANT"
 
-
-#: Which registered backend each variant runs on (for calibration
-#: override draws).
-VARIANT_BACKENDS: Dict[str, str] = {
-    "AWS-Lambda": "aws", "AWS-Step": "aws",
-    "Az-Func": "azure", "Az-Queue": "azure",
-    "Az-Dorch": "azure", "Az-Dent": "azure",
-    "GCP-Func": "gcp", "GCP-Flows": "gcp",
-}
 
 #: Differential paths the oracle compares, in report order.  ``pool``
 #: is the one that crosses a process boundary.
@@ -201,7 +193,7 @@ class SpecGenerator:
             fields["mitigation"] = self._draw_mitigation(stream)
         if stream.random() < 0.4:
             overrides = self._draw_overrides(
-                stream, VARIANT_BACKENDS[deployment])
+                stream, VARIANT_PLATFORMS[deployment])
             if overrides:
                 fields["calibration_overrides"] = overrides
         return CampaignSpec(**fields)

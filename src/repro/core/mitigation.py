@@ -31,9 +31,10 @@ every registered backend gets the whole layer for free.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
+from repro.platforms.items import from_items, to_items
 from repro.sim.kernel import Interrupt
 
 
@@ -104,27 +105,13 @@ class MitigationPolicy:
 
     def to_items(self) -> Tuple[Tuple[str, Any], ...]:
         """Non-default fields as sorted key/value pairs (spec-friendly)."""
-        items: List[Tuple[str, Any]] = []
-        for policy_field in fields(self):
-            value = getattr(self, policy_field.name)
-            if value == policy_field.default:
-                continue
-            items.append((policy_field.name, value))
-        return tuple(sorted(items))
+        return to_items(self)
 
     @classmethod
     def from_items(cls,
                    items: Iterable[Tuple[str, Any]]) -> "MitigationPolicy":
         """Build a policy from key/value pairs, rejecting unknown fields."""
-        known = {policy_field.name for policy_field in fields(cls)}
-        payload: Dict[str, Any] = {}
-        for name, value in items:
-            if name not in known:
-                raise ValueError(
-                    f"unknown MitigationPolicy field {name!r}; "
-                    f"choose from {sorted(known)}")
-            payload[str(name)] = value
-        return cls(**payload)
+        return from_items(cls, items)
 
 
 class _Attempt:

@@ -124,6 +124,13 @@ WORKLOAD_VARIANTS = {
     "video": ("AWS-Lambda", "AWS-Step", "Az-Func", "Az-Dorch",
               "GCP-Flows"),
 }
+#: the registered backend each deployment variant runs on
+VARIANT_PLATFORMS = {
+    "AWS-Lambda": "aws", "AWS-Step": "aws",
+    "Az-Func": "azure", "Az-Queue": "azure",
+    "Az-Dorch": "azure", "Az-Dent": "azure",
+    "GCP-Func": "gcp", "GCP-Flows": "gcp",
+}
 
 
 def _frozen_items(value: Any) -> Tuple[Tuple[str, Any], ...]:

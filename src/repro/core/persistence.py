@@ -4,28 +4,44 @@ Campaign latencies and cost reports serialize to a stable, versioned JSON
 shape so that a run's numbers can be archived next to EXPERIMENTS.md,
 diffed across calibration changes, or post-processed elsewhere.
 
-This module is also the single serialization authority for completed
-campaign outcomes: :func:`outcome_to_dict`/:func:`outcome_from_dict`
-round-trip a :class:`~repro.core.parallel.CampaignOutcome` exactly
-(floats survive via JSON shortest-repr), and both the result cache
-(:mod:`repro.core.cache`) and the sweep journal
-(:mod:`repro.core.checkpoint`) store that one document shape, guarded by
-:func:`payload_checksum`.
+This module is the single serialization authority, and it has one
+codec.  :func:`to_dict` writes any result dataclass named in
+:data:`KINDS` as its ``asdict`` plus ``format_version`` and ``kind``;
+:func:`from_dict` checks those two keys and rebuilds the object from
+its fields' type hints (nested dataclasses, lists, tuples and
+``Optional`` values), so a new result type needs one :data:`KINDS`
+entry and no hand-written pair.  A completed
+:class:`~repro.core.parallel.CampaignOutcome` is one such document per
+part (:func:`outcome_to_dict`/:func:`outcome_from_dict`) and
+round-trips exactly (floats survive via JSON shortest-repr); the result
+cache (:mod:`repro.core.cache`) and the sweep journal
+(:mod:`repro.core.checkpoint`) store that one document shape, guarded
+by :func:`payload_checksum`.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
-from dataclasses import asdict, fields as dataclass_fields
+from dataclasses import asdict, fields as dataclass_fields, is_dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Tuple,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
-from repro.core.audit import AuditReport, CheckResult
+from repro.core.audit import AuditReport
 from repro.core.costs import CostReport
-from repro.core.deployments.base import RunResult
 from repro.core.experiment import CampaignResult
-from repro.core.metrics import LatencyBreakdown
 from repro.core.overload import OverloadSummary
 from repro.core.parallel import CampaignOutcome, CampaignSpec
 from repro.core.reliability import ReliabilitySummary
@@ -33,158 +49,116 @@ from repro.core.resilience import ResilienceSummary
 
 FORMAT_VERSION = 1
 
+#: The document ``kind`` of each result class.  A campaign outcome
+#: stores its parts under the :class:`CampaignOutcome` fields of the
+#: same names.
+KINDS: Dict[type, str] = {
+    CampaignResult: "campaign",
+    CostReport: "cost",
+    ReliabilitySummary: "reliability",
+    OverloadSummary: "overload",
+    ResilienceSummary: "resilience",
+    AuditReport: "audit",
+}
 
-def campaign_to_dict(campaign: CampaignResult) -> Dict[str, Any]:
-    """A JSON-ready representation of a campaign."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "campaign",
-        "deployment": campaign.deployment,
-        "runs": [asdict(run) for run in campaign.runs],
-        "breakdowns": [asdict(breakdown)
-                       for breakdown in campaign.breakdowns],
-    }
-
-
-def campaign_from_dict(data: Dict[str, Any]) -> CampaignResult:
-    """Inverse of :func:`campaign_to_dict`."""
-    _check(data, "campaign")
-    campaign = CampaignResult(deployment=data["deployment"])
-    campaign.runs = [RunResult(**run) for run in data["runs"]]
-    campaign.breakdowns = [LatencyBreakdown(**breakdown)
-                           for breakdown in data["breakdowns"]]
-    return campaign
+_META = ("format_version", "kind")
 
 
-def cost_report_to_dict(report: CostReport) -> Dict[str, Any]:
-    """A JSON-ready representation of a cost report."""
-    payload = asdict(report)
-    payload.update({"format_version": FORMAT_VERSION, "kind": "cost"})
-    return payload
-
-
-def cost_report_from_dict(data: Dict[str, Any]) -> CostReport:
-    """Inverse of :func:`cost_report_to_dict`."""
-    _check(data, "cost")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    return CostReport(**fields)
-
-
-def reliability_to_dict(summary: ReliabilitySummary) -> Dict[str, Any]:
-    """A JSON-ready representation of a reliability summary."""
-    payload = asdict(summary)
+def to_dict(value: Any) -> Dict[str, Any]:
+    """A JSON-ready document of ``value``, a :data:`KINDS` class."""
+    payload = asdict(value)
     payload.update({"format_version": FORMAT_VERSION,
-                    "kind": "reliability"})
+                    "kind": KINDS[type(value)]})
     return payload
 
 
-def reliability_from_dict(data: Dict[str, Any]) -> ReliabilitySummary:
-    """Inverse of :func:`reliability_to_dict`."""
-    _check(data, "reliability")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    return ReliabilitySummary(**fields)
+def from_dict(cls: type, data: Dict[str, Any]) -> Any:
+    """Inverse of :func:`to_dict` for a document of ``cls``'s kind."""
+    _check(data, KINDS[cls])
+    return _build(cls, {name: value for name, value in data.items()
+                        if name not in _META})
 
 
-def resilience_to_dict(summary: ResilienceSummary) -> Dict[str, Any]:
-    """A JSON-ready representation of a resilience summary."""
-    payload = asdict(summary)
-    payload.update({"format_version": FORMAT_VERSION,
-                    "kind": "resilience"})
-    return payload
+def _build(cls: type, item: Dict[str, Any]) -> Any:
+    """``cls`` from the JSON object ``item``, which it may modify."""
+    for name, convert in _plan(cls):
+        if name in item:
+            item[name] = convert(item[name])
+    return cls(**item)
 
 
-def resilience_from_dict(data: Dict[str, Any]) -> ResilienceSummary:
-    """Inverse of :func:`resilience_to_dict` (tuples restored)."""
-    _check(data, "resilience")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    fields["outage_windows"] = tuple(
-        tuple(window) for window in fields.get("outage_windows", ()))
-    fields["recovery_times_s"] = tuple(fields.get("recovery_times_s", ()))
-    return ResilienceSummary(**fields)
+@functools.lru_cache(maxsize=None)
+def _plan(cls: type) -> Tuple[Tuple[str, Callable[[Any], Any]], ...]:
+    """The fields of ``cls`` whose JSON form needs converting back, each
+    with its converter; the rest pass to ``cls`` as JSON gives them."""
+    hints = get_type_hints(cls)
+    plan = ((item.name, _converter(hints[item.name]))
+            for item in dataclass_fields(cls))
+    return tuple((name, convert) for name, convert in plan
+                 if convert is not None)
 
 
-def overload_to_dict(summary: OverloadSummary) -> Dict[str, Any]:
-    """A JSON-ready representation of an overload summary."""
-    payload = asdict(summary)
-    payload.update({"format_version": FORMAT_VERSION, "kind": "overload"})
-    return payload
-
-
-def overload_from_dict(data: Dict[str, Any]) -> OverloadSummary:
-    """Inverse of :func:`overload_to_dict`."""
-    _check(data, "overload")
-    fields = {key: value for key, value in data.items()
-              if key not in ("format_version", "kind")}
-    return OverloadSummary(**fields)
-
-
-def audit_to_dict(report: AuditReport) -> Dict[str, Any]:
-    """A JSON-ready representation of an audit report."""
-    payload = asdict(report)
-    payload.update({"format_version": FORMAT_VERSION, "kind": "audit"})
-    return payload
-
-
-def audit_from_dict(data: Dict[str, Any]) -> AuditReport:
-    """Inverse of :func:`audit_to_dict` (tuples restored from lists)."""
-    _check(data, "audit")
-    checks = tuple(
-        CheckResult(invariant=check["invariant"], passed=check["passed"],
-                    detail=check["detail"],
-                    evidence=tuple(check.get("evidence", ())))
-        for check in data["checks"])
-    outcomes = tuple((str(name), int(count))
-                     for name, count in data["outcomes"])
-    return AuditReport(checks=checks, dispatches=data["dispatches"],
-                       arrivals=data["arrivals"], outcomes=outcomes)
+def _converter(hint: Any) -> Optional[Callable[[Any], Any]]:
+    """How to rebuild a value of type ``hint`` from its JSON form, or
+    ``None`` when JSON already carries it as is."""
+    if is_dataclass(hint):
+        if _plan(hint):
+            return lambda item: _build(hint, dict(item))
+        return lambda item: hint(**item)
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        present = [arg for arg in args if arg is not type(None)]
+        convert = _converter(present[0]) if len(present) == 1 else None
+        if convert is None:
+            return None
+        return lambda value: None if value is None else convert(value)
+    if origin is list:
+        convert = _converter(args[0])
+        if convert is None:
+            return None
+        return lambda values: [convert(value) for value in values]
+    if origin is tuple:
+        if len(args) == 2 and args[1] is Ellipsis:
+            convert = _converter(args[0])
+            if convert is None:
+                return tuple
+            return lambda values: tuple([convert(value) for value in values])
+        converts = [_converter(arg) for arg in args]
+        if not any(converts):
+            return tuple
+        return lambda values: tuple(
+            value if convert is None else convert(value)
+            for convert, value in zip(converts, values))
+    return None
 
 
 def outcome_to_dict(outcome: CampaignOutcome) -> Dict[str, Any]:
     """A JSON-ready representation of a full campaign outcome.
 
+    Each part is its :func:`to_dict` document, or ``None`` when absent.
     Exotic per-run values (anything JSON cannot carry) are stored as
     their ``repr`` — latencies, delays, breakdowns and cost meters
     round-trip exactly.
     """
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "outcome",
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
-        "idle_transactions": outcome.idle_transactions,
-        "reliability": (reliability_to_dict(outcome.reliability)
-                        if outcome.reliability is not None else None),
-        "overload": (overload_to_dict(outcome.overload)
-                     if outcome.overload is not None else None),
-        "resilience": (resilience_to_dict(outcome.resilience)
-                       if outcome.resilience is not None else None),
-        "audit": (audit_to_dict(outcome.audit)
-                  if outcome.audit is not None else None),
-    }
+    payload = {"format_version": FORMAT_VERSION, "kind": "outcome",
+               "idle_transactions": outcome.idle_transactions}
+    for kind in KINDS.values():
+        part = getattr(outcome, kind)
+        payload[kind] = None if part is None else to_dict(part)
+    return payload
 
 
 def outcome_from_dict(data: Dict[str, Any],
                       spec: CampaignSpec) -> CampaignOutcome:
     """Inverse of :func:`outcome_to_dict` for the given ``spec``."""
     _check(data, "outcome")
-    reliability = data.get("reliability")
-    overload = data.get("overload")
-    resilience = data.get("resilience")
-    audit = data.get("audit")
+    # An absent part takes its field's default; a missing required one
+    # (campaign, cost) fails the constructor.
+    parts = {kind: from_dict(cls, data[kind])
+             for cls, kind in KINDS.items() if data.get(kind) is not None}
     return CampaignOutcome(
-        spec=spec,
-        campaign=campaign_from_dict(data["campaign"]),
-        cost=cost_report_from_dict(data["cost"]),
-        idle_transactions=data.get("idle_transactions", 0),
-        reliability=(reliability_from_dict(reliability)
-                     if reliability else None),
-        overload=overload_from_dict(overload) if overload else None,
-        resilience=(resilience_from_dict(resilience)
-                    if resilience else None),
-        audit=audit_from_dict(audit) if audit else None)
+        spec=spec, idle_transactions=data.get("idle_transactions", 0),
+        **parts)
 
 
 class SpecValidationError(ValueError):
@@ -344,10 +318,8 @@ def save_results(path: Union[str, Path],
         "format_version": FORMAT_VERSION,
         "kind": "results",
         "metadata": dict(metadata or {}),
-        "campaigns": [campaign_to_dict(campaign)
-                      for campaign in (campaigns or [])],
-        "cost_reports": [cost_report_to_dict(report)
-                         for report in (cost_reports or [])],
+        "campaigns": [to_dict(campaign) for campaign in (campaigns or [])],
+        "cost_reports": [to_dict(report) for report in (cost_reports or [])],
     }
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(document, indent=2, default=_fallback))
@@ -360,9 +332,9 @@ def load_results(path: Union[str, Path]) -> Dict[str, Any]:
     _check(data, "results")
     return {
         "metadata": data["metadata"],
-        "campaigns": [campaign_from_dict(campaign)
+        "campaigns": [from_dict(CampaignResult, campaign)
                       for campaign in data["campaigns"]],
-        "cost_reports": [cost_report_from_dict(report)
+        "cost_reports": [from_dict(CostReport, report)
                          for report in data["cost_reports"]],
     }
 

@@ -37,9 +37,10 @@ invocation's own ``ctx.rng``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, Iterable, List, Optional, Tuple
 
+from repro.platforms.items import from_items, to_items
 from repro.sim.kernel import Timeout
 
 
@@ -246,34 +247,12 @@ class FaultPlan:
 
     def to_items(self) -> Tuple[Tuple[str, Any], ...]:
         """Non-default fields as sorted key/value pairs (spec-friendly)."""
-        items: List[Tuple[str, Any]] = []
-        for plan_field in fields(self):
-            value = getattr(self, plan_field.name)
-            default = plan_field.default
-            if default is not None and value == default:
-                continue
-            if plan_field.name in ("host_crash_times", "targets",
-                                   "outage_windows") and not value:
-                continue
-            items.append((plan_field.name, value))
-        return tuple(sorted(items))
+        return to_items(self)
 
     @classmethod
     def from_items(cls, items: Iterable[Tuple[str, Any]]) -> "FaultPlan":
         """Build a plan from key/value pairs, rejecting unknown fields."""
-        known = {plan_field.name for plan_field in fields(cls)}
-        payload: Dict[str, Any] = {}
-        for name, value in items:
-            if name not in known:
-                raise ValueError(
-                    f"unknown FaultPlan field {name!r}; "
-                    f"choose from {sorted(known)}")
-            if isinstance(value, (list, tuple)):
-                value = tuple(tuple(item)
-                              if isinstance(item, (list, tuple)) else item
-                              for item in value)
-            payload[str(name)] = value
-        return cls(**payload)
+        return from_items(cls, items)
 
 
 @dataclass

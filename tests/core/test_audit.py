@@ -17,6 +17,7 @@ import pytest
 
 from repro.core import audit as audit_mod
 from repro.core.audit import (
+    AuditReport,
     InvariantViolation,
     collect_violations,
     enabled_for,
@@ -25,7 +26,7 @@ from repro.core.audit import (
 from repro.core.cache import ResultCache
 from repro.core.parallel import (CampaignSpec, ParallelRunner,
                                  SpecExecutionError, execute_spec)
-from repro.core.persistence import audit_from_dict, audit_to_dict
+from repro.core.persistence import from_dict, to_dict
 from repro.platforms.faults import FaultPlan
 
 pytestmark = pytest.mark.audit
@@ -163,15 +164,15 @@ def test_verdicts_identical_serial_parallel_and_cache(tmp_path):
     for report in (*pooled, *cached):
         assert report is not None
     assert [r.verdicts() for r in serial] == [r.verdicts() for r in pooled]
-    assert [audit_to_dict(r) for r in serial] == [
-        audit_to_dict(r) for r in pooled]
-    assert [audit_to_dict(r) for r in serial] == [
-        audit_to_dict(r) for r in cached]
+    assert [to_dict(r) for r in serial] == [
+        to_dict(r) for r in pooled]
+    assert [to_dict(r) for r in serial] == [
+        to_dict(r) for r in cached]
 
 
 def test_audit_report_json_roundtrip():
     report = execute_spec(latency_spec("Az-Dent")).audit
-    assert audit_from_dict(audit_to_dict(report)) == report
+    assert from_dict(AuditReport, to_dict(report)) == report
 
 
 def test_merge_reports_counts_passes_and_violations():

@@ -75,6 +75,20 @@ def test_cost_command_runs(capsys):
     ["audit", "--horizon", "0"],
     ["coldstart", "--days", "0"],
     ["coldstart", "--days", "0.01"],   # shorter than one hourly request
+] + [
+    # rejected by the FaultPlan, MitigationPolicy or CampaignSpec
+    # constructor while the specs are built
+    ["resilience", flag, value] for flag, value in (
+        ("--outage-start", "-10"), ("--outage-duration", "-5"),
+        ("--gray-factor", "0.5"), ("--brownout", "-1"),
+        ("--hedge-after", "-1"), ("--breaker-threshold", "-1"),
+        ("--breaker-timeout", "-1"), ("--deadline-factor", "-1"),
+        ("--request-timeout", "0"), ("--slo-p99", "-1"))
+] + [
+    # rejected by the overridden calibration's validation
+    ["overload", "--refill", "-1"],
+    ["overload", "--shed-deadline", "-1"],
+    ["cost", "--runs-per-month", "-3"],
 ], ids=" ".join)
 def test_out_of_range_numbers_exit_before_any_campaign_runs(monkeypatch,
                                                            argv):
@@ -87,6 +101,106 @@ def test_out_of_range_numbers_exit_before_any_campaign_runs(monkeypatch,
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code not in (0, None)
+
+
+def _table_rows(output):
+    """The cells of each data row of the first table in ``output``."""
+    lines = output.splitlines()
+    start = next(index for index, line in enumerate(lines)
+                 if line and set(line) <= set("-+")) + 1
+    rows = []
+    for line in lines[start:]:
+        if not line.strip():
+            break
+        rows.append([cell.strip() for cell in line.split("|")])
+    return rows
+
+
+ORCHESTRATED = ["AWS-Step", "Az-Dorch", "GCP-Flows"]
+
+
+def test_reliability_command_sweeps_every_variant(capsys):
+    code = main(["reliability", "--iterations", "1", "--sweep", "0,0.2",
+                 "--no-cache", "-j", "2"])
+    output = capsys.readouterr().out
+    assert code == 0
+    assert output.startswith(
+        "Price of reliability (small, 1 iterations, 3 attempts)\n")
+    assert [(row[0], float(row[1])) for row in _table_rows(output)] == [
+        (name, probability) for probability in (0.0, 0.2)
+        for name in ORCHESTRATED]
+    for platform in ("aws", "azure", "gcp"):
+        assert f"\n- {platform}: worst-case cost amplification" in output
+
+
+def test_resilience_command_sweeps_every_variant(capsys):
+    code = main(["resilience", "--iterations", "1", "--sweep", "30,90",
+                 "--no-cache", "-j", "2"])
+    output = capsys.readouterr().out
+    assert code == 0
+    assert output.startswith("Resilience through a crash outage at "
+                             "t=120s (SLO 99.9% avail)\n")
+    assert [(row[0], float(row[1])) for row in _table_rows(output)] == [
+        (name, duration) for duration in (30.0, 90.0)
+        for name in ORCHESTRATED]
+    for platform in ("aws", "azure", "gcp"):
+        assert f"\n- {platform}: worst-case availability" in output
+
+
+def test_overload_command_sweeps_every_variant(capsys):
+    code = main(["overload", "--rates", "0.5,2", "--horizon", "20",
+                 "--no-cache", "-j", "2"])
+    output = capsys.readouterr().out
+    assert code == 0
+    assert output.startswith(
+        "Overload sweep (small, poisson arrivals, 20s horizon)\n")
+    assert [(row[0], float(row[1])) for row in _table_rows(output)] == [
+        (name, rate) for rate in (0.5, 2.0)
+        for name in ("AWS-Step", "Az-Func", "GCP-Func")]
+    for platform in ("aws", "azure", "gcp"):
+        assert f"\n- {platform}: up to " in output
+
+
+def test_audit_command_holds_every_invariant(capsys):
+    from repro.core.audit import INVARIANTS
+
+    code = main(["audit", "--iterations", "1", "--rates", "0.5",
+                 "--horizon", "20", "--no-cache", "-j", "2"])
+    output = capsys.readouterr().out
+    assert code == 0
+    assert output.startswith("Invariant audit: 12 campaigns "
+                             "(3x3 reliability + 1x3 overload)\n")
+    assert _table_rows(output) == [[name, "12", "0", "ok"]
+                                   for name in INVARIANTS]
+    assert output.endswith("\nall invariants held across the sweep\n")
+
+
+def test_paper_command_runs_one_sweep(monkeypatch, capsys):
+    """Its three tables come from one supervised sweep."""
+    from repro.core.supervise import SupervisedRunner
+
+    calls = []
+    run = SupervisedRunner.run
+
+    def counted(self, specs, **kwargs):
+        calls.append(len(specs))
+        return run(self, specs, **kwargs)
+
+    monkeypatch.setattr(SupervisedRunner, "run", counted)
+    assert main(["paper", "--no-cache", "-j", "2"]) == 0
+    assert calls == [8 + 3 * 3 + 5]
+    output = capsys.readouterr().out
+    latency, video, coldstart = output.split("\n\n")[1:]
+    assert latency.startswith("ML training latency (small, 8 iterations)")
+    assert [row[0] for row in _table_rows(latency)] == [
+        "AWS-Lambda", "AWS-Step", "Az-Func", "Az-Queue", "Az-Dorch",
+        "Az-Dent", "GCP-Func", "GCP-Flows"]
+    assert video.startswith("Video processing latency vs workers")
+    assert [row[0] for row in _table_rows(video)] == ["1", "20", "80"]
+    assert coldstart.startswith(
+        "Cold start delay, median of 24 hourly requests")
+    assert [line.split()[0] for line in coldstart.splitlines()[1:]] == [
+        "Az-Queue", "AWS-Step", "Az-Dorch", "Az-Dent", "GCP-Flows"]
 
 
 def test_seed_flag_changes_nothing_structural(capsys):

@@ -12,7 +12,7 @@ from repro.core import (
     percentile,
     summarize,
 )
-from repro.core.costs import monthly_projection
+from repro.core.costs import CostReport, monthly_projection
 from repro.core.metrics import breakdown_from_spans, fraction_above
 
 
@@ -168,3 +168,11 @@ def test_monthly_projection_adds_idle_polling():
                                    idle_transactions_per_month=1_000_000)
     assert projected.compute_cost == pytest.approx(report.compute_cost * 100)
     assert projected.transaction_cost > report.transaction_cost * 100
+
+
+def test_monthly_projection_rejects_a_negative_run_count():
+    report = CostReport(deployment="AWS-Step", platform="aws", gb_s=1.0,
+                        compute_cost=1.0, transaction_cost=1.0,
+                        transaction_count=1)
+    with pytest.raises(ValueError, match="runs_per_month"):
+        monthly_projection(report, runs_per_month=-3)

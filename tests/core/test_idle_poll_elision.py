@@ -20,11 +20,7 @@ import pytest
 
 from repro.core.cache import ResultCache
 from repro.core.parallel import CampaignSpec, ParallelRunner, execute_spec
-from repro.core.persistence import (
-    audit_to_dict,
-    campaign_to_dict,
-    cost_report_to_dict,
-)
+from repro.core.persistence import to_dict
 from repro.platforms.faults import FaultPlan
 from repro.sim import Environment
 from repro.storage.meter import TransactionMeter
@@ -157,10 +153,10 @@ def _spec(elision, **kwargs):
 
 def outcome_blob(outcome):
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
+        "campaign": to_dict(outcome.campaign),
+        "cost": to_dict(outcome.cost),
         "idle": outcome.idle_transactions,
-        "audit": audit_to_dict(outcome.audit)
+        "audit": to_dict(outcome.audit)
         if outcome.audit is not None else None,
     }, sort_keys=True, default=repr)
 

@@ -24,14 +24,14 @@ from repro.core import (
     execute_spec,
 )
 from repro.core.cache import cache_key
-from repro.core.persistence import campaign_to_dict, cost_report_to_dict
+from repro.core.persistence import to_dict
 
 
 def outcome_blob(outcome: CampaignOutcome) -> str:
     """Every observable of an outcome, as one comparable string."""
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
+        "campaign": to_dict(outcome.campaign),
+        "cost": to_dict(outcome.cost),
         "idle": outcome.idle_transactions,
     }, sort_keys=True, default=repr)
 
@@ -142,7 +142,7 @@ def test_hand_driven_campaign_ignores_what_ran_before(variant):
     execute_spec(CampaignSpec(deployment="AWS-Lambda", iterations=3, seed=3))
     second = hand_driven()
     assert run_numbers(second) == [2, 3, 4]
-    assert campaign_to_dict(second) == campaign_to_dict(first)
+    assert to_dict(second) == to_dict(first)
 
 
 @pytest.mark.parametrize("spec", [ML_SPEC, VIDEO_SPEC],
@@ -391,3 +391,11 @@ def test_run_campaigns_returns_campaigns_only():
                           warmup=0, seed=2)]
     campaigns = ParallelRunner(workers=1).run_campaigns(specs)
     assert len(campaigns) == 1 and campaigns[0].latencies
+
+
+def test_repro_core_parallel_imports_as_the_module():
+    """``repro.core`` re-exports nothing under a submodule's name, so
+    ``import ... as`` binds the module, not a same-named attribute."""
+    import repro.core.parallel as module
+
+    assert module.execute_spec is execute_spec

@@ -6,14 +6,12 @@ import pytest
 
 from repro.core import Testbed, build_ml_training_deployments, cost_report
 from repro.core.costs import CostReport
-from repro.core.experiment import ExperimentRunner
+from repro.core.experiment import CampaignResult, ExperimentRunner
 from repro.core.persistence import (
-    campaign_from_dict,
-    campaign_to_dict,
-    cost_report_from_dict,
-    cost_report_to_dict,
+    from_dict,
     load_results,
     save_results,
+    to_dict,
 )
 
 
@@ -28,7 +26,7 @@ def campaign_and_report():
 
 def test_campaign_roundtrip(campaign_and_report):
     campaign, _ = campaign_and_report
-    restored = campaign_from_dict(campaign_to_dict(campaign))
+    restored = from_dict(CampaignResult, to_dict(campaign))
     assert restored.deployment == campaign.deployment
     assert restored.latencies == campaign.latencies
     assert restored.stats() == campaign.stats()
@@ -37,7 +35,7 @@ def test_campaign_roundtrip(campaign_and_report):
 
 def test_cost_report_roundtrip(campaign_and_report):
     _, report = campaign_and_report
-    restored = cost_report_from_dict(cost_report_to_dict(report))
+    restored = from_dict(CostReport, to_dict(report))
     assert restored == report
 
 
@@ -64,17 +62,17 @@ def test_saved_file_is_plain_json(tmp_path, campaign_and_report):
 def test_kind_mismatch_rejected(campaign_and_report):
     campaign, report = campaign_and_report
     with pytest.raises(ValueError, match="expected"):
-        campaign_from_dict(cost_report_to_dict(report))
+        from_dict(CampaignResult, to_dict(report))
     with pytest.raises(ValueError, match="expected"):
-        cost_report_from_dict(campaign_to_dict(campaign))
+        from_dict(CostReport, to_dict(campaign))
 
 
 def test_version_mismatch_rejected(campaign_and_report):
     campaign, _ = campaign_and_report
-    data = campaign_to_dict(campaign)
+    data = to_dict(campaign)
     data["format_version"] = 99
     with pytest.raises(ValueError, match="version"):
-        campaign_from_dict(data)
+        from_dict(CampaignResult, data)
 
 
 def test_exotic_run_values_stringified(tmp_path):

@@ -25,12 +25,7 @@ from repro.core import (
     execute_spec,
 )
 from repro.core.cache import cache_key
-from repro.core.persistence import (
-    campaign_to_dict,
-    cost_report_to_dict,
-    resilience_from_dict,
-    resilience_to_dict,
-)
+from repro.core.persistence import from_dict, to_dict
 
 pytestmark = [pytest.mark.resilience, pytest.mark.faults]
 
@@ -38,9 +33,9 @@ pytestmark = [pytest.mark.resilience, pytest.mark.faults]
 def outcome_blob(outcome: CampaignOutcome) -> str:
     """Every observable of a resilience outcome, as one string."""
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
-        "resilience": (resilience_to_dict(outcome.resilience)
+        "campaign": to_dict(outcome.campaign),
+        "cost": to_dict(outcome.cost),
+        "resilience": (to_dict(outcome.resilience)
                        if outcome.resilience is not None else None),
     }, sort_keys=True, default=repr)
 
@@ -298,7 +293,8 @@ def test_resilience_survives_cache_round_trip(tmp_path):
 
 def test_resilience_summary_dict_round_trip():
     summary = execute_spec(make_spec()).resilience
-    document = resilience_to_dict(summary)
+    document = to_dict(summary)
     assert document["kind"] == "resilience"
-    assert resilience_from_dict(document) == summary
-    assert resilience_from_dict(json.loads(json.dumps(document))) == summary
+    assert from_dict(ResilienceSummary, document) == summary
+    assert from_dict(ResilienceSummary,
+                     json.loads(json.dumps(document))) == summary

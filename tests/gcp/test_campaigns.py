@@ -17,7 +17,7 @@ from repro.core import (
     ResultCache,
     execute_spec,
 )
-from repro.core.persistence import campaign_to_dict, cost_report_to_dict
+from repro.core.persistence import to_dict
 from repro.platforms.faults import FaultPlan
 
 pytestmark = pytest.mark.gcp
@@ -26,8 +26,8 @@ pytestmark = pytest.mark.gcp
 def outcome_blob(outcome) -> str:
     """Every observable of an outcome, as one comparable string."""
     return json.dumps({
-        "campaign": campaign_to_dict(outcome.campaign),
-        "cost": cost_report_to_dict(outcome.cost),
+        "campaign": to_dict(outcome.campaign),
+        "cost": to_dict(outcome.cost),
         "idle": outcome.idle_transactions,
         "reliability": repr(outcome.reliability),
         "overload": repr(outcome.overload),
