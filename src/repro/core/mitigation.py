@@ -75,23 +75,23 @@ class MitigationPolicy:
     request_timeout_s: float = 300.0
 
     def __post_init__(self):
-        if self.breaker_failure_threshold < 0:
+        if not self.breaker_failure_threshold >= 0:
             raise ValueError(
                 "breaker_failure_threshold must be non-negative")
-        if self.breaker_recovery_timeout_s <= 0:
+        if not self.breaker_recovery_timeout_s > 0:
             raise ValueError(
                 "breaker_recovery_timeout_s must be positive")
-        if self.breaker_half_open_probes < 1:
+        if not self.breaker_half_open_probes >= 1:
             raise ValueError("breaker_half_open_probes must be >= 1")
-        if self.hedge_after_s < 0:
+        if not self.hedge_after_s >= 0:
             raise ValueError("hedge_after_s must be non-negative")
-        if self.max_hedges < 1:
+        if not self.max_hedges >= 1:
             raise ValueError("max_hedges must be >= 1")
-        if self.deadline_factor < 0:
+        if not self.deadline_factor >= 0:
             raise ValueError("deadline_factor must be non-negative")
-        if self.deadline_min_s <= 0:
+        if not self.deadline_min_s > 0:
             raise ValueError("deadline_min_s must be positive")
-        if self.request_timeout_s <= 0:
+        if not self.request_timeout_s > 0:
             raise ValueError("request_timeout_s must be positive")
 
     @property

@@ -208,16 +208,16 @@ class CampaignSpec:
             raise ValueError("iterations must be positive")
         if not 0.0 < self.slo_availability <= 1.0:
             raise ValueError("slo_availability must lie in (0, 1]")
-        if self.slo_p99_s < 0:
+        if not self.slo_p99_s >= 0:
             raise ValueError("slo_p99_s must be non-negative")
         if self.campaign == "overload":
             if self.arrival not in ARRIVAL_KINDS:
                 raise ValueError(
                     f"arrival must be one of {ARRIVAL_KINDS}")
-            if self.arrival_rate_per_s <= 0:
+            if not self.arrival_rate_per_s > 0:
                 raise ValueError(
                     "overload campaigns need arrival_rate_per_s > 0")
-            if self.horizon_s <= 0:
+            if not self.horizon_s > 0:
                 raise ValueError("overload campaigns need horizon_s > 0")
         object.__setattr__(self, "calibration_overrides",
                            _frozen_items(self.calibration_overrides))

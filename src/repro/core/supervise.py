@@ -198,13 +198,15 @@ def _prewarm_workloads(specs: Iterable[CampaignSpec]) -> None:
     Worker processes are forked where the platform allows it, so paying
     for dataset generation and model training once here means every
     worker inherits the memo instead of re-training per process.
+    Touching ``trained`` is what trains: the workload builds only its
+    dataset until a deployment asks for the model.
     """
     from repro.core.deployments.ml import ml_workload
     from repro.core.deployments.video import video_workload
 
     for spec in specs:
         if spec.workload in ("ml-training", "ml-inference"):
-            ml_workload(spec.scale, spec.workload_seed)
+            ml_workload(spec.scale, spec.workload_seed).trained
         else:
             video_workload(spec.fanout, spec.workload_seed)
 

@@ -119,13 +119,14 @@ class GCPCalibration:
             raise ValueError("memory_tiers must be non-empty")
         if tuple(sorted(self.memory_tiers)) != tuple(self.memory_tiers):
             raise ValueError("memory_tiers must be sorted ascending")
-        if self.max_instances <= 0:
+        if not self.max_instances > 0:
             raise ValueError("max_instances must be positive")
-        if self.throttle_retry_max_attempts < 1:
+        if not self.throttle_retry_max_attempts >= 1:
             raise ValueError("throttle_retry_max_attempts must be >= 1")
-        if self.throttle_retry_interval_s <= 0:
+        if not self.throttle_retry_interval_s > 0:
             raise ValueError("throttle_retry_interval_s must be positive")
-        if self.throttle_retry_cap_s < self.throttle_retry_interval_s:
+        if not (self.throttle_retry_cap_s
+                >= self.throttle_retry_interval_s):
             raise ValueError(
                 "throttle_retry_cap_s must be >= throttle_retry_interval_s")
 

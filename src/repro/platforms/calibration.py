@@ -114,17 +114,18 @@ class AWSCalibration:
         :meth:`~repro.core.parallel.CampaignSpec.calibrations` applies
         overrides (which bypass dataclass construction).
         """
-        if self.concurrency_limit <= 0:
+        if not self.concurrency_limit > 0:
             raise ValueError("concurrency_limit must be positive")
-        if self.burst_concurrency <= 0:
+        if not self.burst_concurrency > 0:
             raise ValueError("burst_concurrency must be positive")
-        if self.refill_per_s <= 0:
+        if not self.refill_per_s > 0:
             raise ValueError("refill_per_s must be positive")
-        if self.throttle_retry_max_attempts < 1:
+        if not self.throttle_retry_max_attempts >= 1:
             raise ValueError("throttle_retry_max_attempts must be >= 1")
-        if self.throttle_retry_interval_s <= 0:
+        if not self.throttle_retry_interval_s > 0:
             raise ValueError("throttle_retry_interval_s must be positive")
-        if self.throttle_retry_cap_s < self.throttle_retry_interval_s:
+        if not (self.throttle_retry_cap_s
+                >= self.throttle_retry_interval_s):
             raise ValueError(
                 "throttle_retry_cap_s must be >= throttle_retry_interval_s")
 
@@ -278,13 +279,15 @@ class AzureCalibration:
         checked only when set (``None`` means disabled, the platform
         default).
         """
-        if self.max_instances <= 0:
+        if not self.max_instances > 0:
             raise ValueError("max_instances must be positive")
-        if self.queue_depth_limit is not None and self.queue_depth_limit <= 0:
+        if (self.queue_depth_limit is not None
+                and not self.queue_depth_limit > 0):
             raise ValueError(
                 "queue_depth_limit must be positive when set "
                 "(use None to leave the queues unbounded)")
-        if self.shed_deadline_s is not None and self.shed_deadline_s <= 0:
+        if (self.shed_deadline_s is not None
+                and not self.shed_deadline_s > 0):
             raise ValueError(
                 "shed_deadline_s must be positive when set "
                 "(use None to disable load shedding)")

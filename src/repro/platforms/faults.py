@@ -150,17 +150,17 @@ class FaultPlan:
                 <= self.crash_fraction_max <= 1.0):
             raise ValueError(
                 "crash fractions must satisfy 0 <= min <= max <= 1")
-        if self.straggler_factor < 1.0:
+        if not self.straggler_factor >= 1.0:
             raise ValueError("straggler_factor must be >= 1")
-        if self.queue_delay_s < 0:
+        if not self.queue_delay_s >= 0:
             raise ValueError("queue_delay_s must be non-negative")
-        if self.retry_max_attempts < 0:
+        if not self.retry_max_attempts >= 0:
             raise ValueError("retry_max_attempts must be non-negative")
-        if self.retry_interval_s <= 0:
+        if not self.retry_interval_s > 0:
             raise ValueError("retry_interval_s must be positive")
-        if self.retry_backoff < 1.0:
+        if not self.retry_backoff >= 1.0:
             raise ValueError("retry_backoff must be >= 1")
-        if any(t < 0 for t in self.host_crash_times):
+        if not all(t >= 0 for t in self.host_crash_times):
             raise ValueError("host_crash_times must be non-negative")
         if len(set(self.host_crash_times)) != len(self.host_crash_times):
             raise ValueError(
@@ -168,10 +168,10 @@ class FaultPlan:
                 "host-crash schedules would crash the same host twice "
                 "in the same instant")
         for start, duration in self.outage_windows:
-            if start < 0:
+            if not start >= 0:
                 raise ValueError("outage window starts must be "
                                  f"non-negative, got {start}")
-            if duration <= 0:
+            if not duration > 0:
                 raise ValueError("outage window durations must be "
                                  f"positive, got {duration}")
         for (start, duration), (next_start, _) in zip(
@@ -181,13 +181,14 @@ class FaultPlan:
                     f"outage_windows overlap: window starting at "
                     f"{next_start} begins inside the window "
                     f"[{start}, {start + duration})")
-        if self.outage_count < 0:
+        if not self.outage_count >= 0:
             raise ValueError("outage_count must be non-negative")
-        if self.outage_horizon_s < 0 or self.outage_duration_s < 0:
+        if not (self.outage_horizon_s >= 0
+                and self.outage_duration_s >= 0):
             raise ValueError(
                 "outage horizon/duration must be non-negative")
-        if self.outage_count > 0 and (self.outage_horizon_s <= 0
-                                      or self.outage_duration_s <= 0):
+        if self.outage_count > 0 and not (self.outage_horizon_s > 0
+                                          and self.outage_duration_s > 0):
             raise ValueError(
                 "drawn outages need outage_horizon_s > 0 and "
                 "outage_duration_s > 0")
@@ -195,9 +196,9 @@ class FaultPlan:
             raise ValueError(
                 f"outage_mode must be 'crash' or 'gray', "
                 f"got {self.outage_mode!r}")
-        if self.gray_latency_factor < 1.0:
+        if not self.gray_latency_factor >= 1.0:
             raise ValueError("gray_latency_factor must be >= 1")
-        if self.brownout_delay_s < 0:
+        if not self.brownout_delay_s >= 0:
             raise ValueError("brownout_delay_s must be non-negative")
 
     # -- activation --------------------------------------------------------------

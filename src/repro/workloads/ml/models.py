@@ -74,7 +74,12 @@ class _Node:
 
 
 class DecisionTreeRegressor:
-    """CART regression tree with random feature sub-sampling."""
+    """CART regression tree with random feature sub-sampling.
+
+    Each node draws ``max_features`` candidate columns and scores every
+    threshold of each candidate's grid at once: one stacked comparison
+    and one stacked matmul per grid width, not one pass per column.
+    """
 
     def __init__(self, max_depth: int = 8, min_samples_split: int = 4,
                  max_features: Optional[int] = None, n_thresholds: int = 12,
@@ -91,15 +96,24 @@ class DecisionTreeRegressor:
 
     def fit(self, features: np.ndarray,
             targets: np.ndarray) -> "DecisionTreeRegressor":
+        """Grow the tree.
+
+        Threshold grids are the distinct quantiles of each *whole*
+        training column, computed once per fit, so nodes scan a fixed
+        grid instead of re-sorting their rows.  Grids are stored padded
+        to the widest (``_grids``) beside their widths (``_widths``);
+        tied quantiles make some grids narrower than ``n_thresholds``.
+        """
         features, targets = _check_fit_inputs(features, targets)
         rng = np.random.default_rng(self.seed)
         self.node_count_ = 0
-        # Threshold grids are quantiles of the *whole* training column,
-        # computed once per fit: nodes then scan a slice of a fixed grid
-        # instead of re-sorting their rows (a large constant-factor win).
         quantiles = np.linspace(0.0, 1.0, self.n_thresholds + 2)[1:-1]
-        self._grids = [np.unique(np.quantile(features[:, j], quantiles))
-                       for j in range(features.shape[1])]
+        grids = [np.unique(column) for column in
+                 np.quantile(features, quantiles, axis=0).T]
+        self._widths = np.array([len(grid) for grid in grids])
+        self._grids = np.zeros((len(grids), self._widths.max()))
+        for row, grid in zip(self._grids, grids):
+            row[:len(grid)] = grid
         self.root_ = self._build(features, targets, depth=0, rng=rng)
         return self
 
@@ -116,46 +130,61 @@ class DecisionTreeRegressor:
         k = self.max_features or max(1, int(np.sqrt(n_features)))
         candidates = rng.choice(n_features, size=min(k, n_features),
                                 replace=False)
-
-        n_rows = len(targets)
-        total_sum = float(targets.sum())
-        total_sq = float((targets ** 2).sum())
-        best = None  # (sse, feature, threshold)
-        for feature in candidates:
-            column = features[:, feature]
-            thresholds = self._grids[feature]
-            if len(thresholds) == 0:
-                continue
-            # Vectorised scan: left-side counts/sums for every threshold.
-            mask = column[:, None] <= thresholds[None, :]
-            left_count = mask.sum(axis=0)
-            valid = (left_count > 0) & (left_count < n_rows)
-            if not valid.any():
-                continue
-            left_sum = targets @ mask
-            right_count = n_rows - left_count
-            right_sum = total_sum - left_sum
-            with np.errstate(divide="ignore", invalid="ignore"):
-                # SSE = Σy² - (Σy_left)²/n_left - (Σy_right)²/n_right
-                sse = (total_sq
-                       - np.where(valid, left_sum ** 2 / left_count, 0.0)
-                       - np.where(valid, right_sum ** 2 / right_count, 0.0))
-            sse[~valid] = np.inf
-            index = int(np.argmin(sse))
-            if np.isfinite(sse[index]) and (best is None
-                                            or sse[index] < best[0]):
-                best = (float(sse[index]), int(feature),
-                        float(thresholds[index]))
-
-        if best is None:
+        sse, thresholds = self._scan(features, targets, candidates)
+        # The first candidate holding the lowest finite SSE wins.
+        sse[~np.isfinite(sse)] = np.inf
+        best = int(np.argmin(sse))
+        if sse[best] == np.inf:
             return _Node(value=node_value)
-        _, feature, threshold = best
+        feature, threshold = int(candidates[best]), float(thresholds[best])
         mask = features[:, feature] <= threshold
         return _Node(
             feature=feature, threshold=threshold, value=node_value,
             left=self._build(features[mask], targets[mask], depth + 1, rng),
             right=self._build(features[~mask], targets[~mask], depth + 1,
                               rng))
+
+    def _scan(self, features: np.ndarray, targets: np.ndarray,
+              candidates: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Each candidate's lowest split SSE and the threshold giving it.
+
+        Candidates whose grids share a width are scored as one stack.
+        Each slice of the stacked ``targets @ mask`` is the same
+        (rows × width) float64 product that scoring one column at a time
+        computes, so every SSE, and hence every split, is bit for bit
+        the same; summing the targets in any other order is not.
+        """
+        n_rows = len(targets)
+        total_sum = float(targets.sum())
+        total_sq = float((targets ** 2).sum())
+        best_sse = np.empty(len(candidates))
+        best_threshold = np.empty(len(candidates))
+        widths = self._widths[candidates]
+        for width in set(widths.tolist()):
+            members = np.flatnonzero(widths == width)
+            group = candidates[members]
+            grid = self._grids[group, :width]
+            # mask[g, i, t] is 1.0 where row i goes left at threshold t
+            # of candidate g; built straight into the matmul's dtype.
+            mask = np.empty((len(group), n_rows, width))
+            np.less_equal(features[:, group].T[:, :, None], grid[:, None, :],
+                          out=mask)
+            left_count = mask.sum(axis=1)
+            left_sum = targets @ mask
+            right_count = n_rows - left_count
+            right_sum = total_sum - left_sum
+            valid = (left_count > 0) & (left_count < n_rows)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                # SSE = Σy² - (Σy_left)²/n_left - (Σy_right)²/n_right
+                sse = (total_sq
+                       - np.where(valid, left_sum ** 2 / left_count, 0.0)
+                       - np.where(valid, right_sum ** 2 / right_count, 0.0))
+            sse[~valid] = np.inf
+            index = sse.argmin(axis=1)
+            rows = np.arange(len(group))
+            best_sse[members] = sse[rows, index]
+            best_threshold[members] = grid[rows, index]
+        return best_sse, best_threshold
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         if self.root_ is None:

@@ -89,6 +89,15 @@ def test_cost_command_runs(capsys):
     ["overload", "--refill", "-1"],
     ["overload", "--shed-deadline", "-1"],
     ["cost", "--runs-per-month", "-3"],
+] + [
+    # NaN compares false against every bound, so each check must fail it
+    [command, flag, "nan"] for command, flags in (
+        ("resilience", ("--outage-start", "--outage-duration",
+                        "--gray-factor", "--brownout", "--hedge-after",
+                        "--breaker-timeout", "--deadline-factor",
+                        "--request-timeout", "--slo-p99")),
+        ("overload", ("--refill", "--shed-deadline")))
+    for flag in flags
 ], ids=" ".join)
 def test_out_of_range_numbers_exit_before_any_campaign_runs(monkeypatch,
                                                            argv):

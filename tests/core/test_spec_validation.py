@@ -81,6 +81,18 @@ def test_unknown_fault_field_is_reported(base):
            error.key == "fault_plan"
 
 
+@pytest.mark.parametrize("field, name", [
+    ("mitigation", "max_hedges"),
+    ("fault_plan", "retry_max_attempts"),
+])
+def test_nan_in_an_integer_pair_is_rejected(base, field, name):
+    """Pair values are not type-checked, so a document's NaN reaches the
+    constructor's range check even for an integer field."""
+    base[field] = [[name, float("nan")]]
+    with pytest.raises(SpecValidationError, match=name):
+        spec_from_dict(json.loads(json.dumps(base)))
+
+
 def test_unknown_deployment_is_a_validation_error(base):
     base["deployment"] = "IBM-Cloud"
     error = pytest.raises(SpecValidationError,

@@ -321,6 +321,30 @@ def test_sweep_served_from_cache_or_journal_launches_nothing(
                               for outcome in resumed.outcomes)
 
 
+def test_workers_inherit_the_pipeline_the_supervisor_trained(
+        monkeypatch, tmp_path):
+    """The supervisor trains each ML workload before it forks, so no
+    worker trains its own copy.  The workload memo is process-wide, so
+    the test empties it: this sweep's pipeline starts untrained whatever
+    ran earlier in this process."""
+    from repro.core.deployments import ml
+    from repro.workloads.ml import pipeline
+
+    trainers = tmp_path / "trainers"
+    train = pipeline.run_training_pipeline
+
+    def logged_train(*args, **kwargs):
+        with open(trainers, "a") as log:
+            log.write(f"{os.getpid()}\n")
+        return train(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "run_training_pipeline", logged_train)
+    monkeypatch.setattr(ml, "_WORKLOADS", {})
+    result = SupervisedRunner(workers=2).run(sweep_specs(6))
+    assert result.ok
+    assert trainers.read_text().split() == [str(os.getpid())]
+
+
 # -- bookkeeping: one key derivation and one encoding per spec -------------------
 
 def test_sweep_derives_keys_once_and_encodes_each_outcome_once(

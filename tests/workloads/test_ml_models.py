@@ -1,10 +1,18 @@
-"""Tests for preprocessing, PCA and the from-scratch regressors."""
+"""Tests for preprocessing, PCA and the from-scratch regressors.
+
+:class:`ReferenceTree` grows a tree the way :class:`DecisionTreeRegressor`
+did before its split search was stacked: one quantile call per column
+and one scoring pass per candidate column.  The stacked search computes
+the same float64 operations on the same operands, so the trees must be
+identical node for node, not merely close.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.deployments.ml import MLWorkload
 from repro.workloads.ml import (
     KNeighborsRegressor,
     LassoRegressor,
@@ -16,8 +24,15 @@ from repro.workloads.ml import (
     mean_squared_error,
     r2_score,
 )
+from repro.workloads.ml import models
 from repro.workloads.ml.models import DecisionTreeRegressor, NotFittedError
+from repro.workloads.ml.pipeline import (
+    prepare_data,
+    reduce_dimensions,
+    split_for_validation,
+)
 from repro.workloads.ml.preprocess import NotFittedError as PrepNotFitted
+from repro.workloads.ml.selection import select_best, train_candidate
 
 
 @pytest.fixture(scope="module")
@@ -251,3 +266,163 @@ def test_knn_predictions_within_target_range(k):
     knn = KNeighborsRegressor(n_neighbors=k).fit(features, targets)
     predictions = knn.predict(rng.normal(size=(10, 4)))
     assert (predictions >= 10.0).all() and (predictions <= 20.0).all()
+
+
+# -- the stacked split search against the per-column loop ------------------------
+
+class ReferenceTree(DecisionTreeRegressor):
+    """A tree grown one candidate column at a time."""
+
+    def fit(self, features, targets):
+        features = np.asarray(features, dtype=float)
+        targets = np.asarray(targets, dtype=float)
+        rng = np.random.default_rng(self.seed)
+        self.node_count_ = 0
+        quantiles = np.linspace(0.0, 1.0, self.n_thresholds + 2)[1:-1]
+        self._grids = [np.unique(np.quantile(features[:, j], quantiles))
+                       for j in range(features.shape[1])]
+        self.root_ = self._build(features, targets, depth=0, rng=rng)
+        return self
+
+    def _build(self, features, targets, depth, rng):
+        self.node_count_ += 1
+        node_value = float(targets.mean())
+        if (depth >= self.max_depth
+                or len(targets) < self.min_samples_split
+                or np.ptp(targets) == 0.0):
+            return models._Node(value=node_value)
+
+        n_features = features.shape[1]
+        k = self.max_features or max(1, int(np.sqrt(n_features)))
+        candidates = rng.choice(n_features, size=min(k, n_features),
+                                replace=False)
+
+        n_rows = len(targets)
+        total_sum = float(targets.sum())
+        total_sq = float((targets ** 2).sum())
+        best = None  # (sse, feature, threshold)
+        for feature in candidates:
+            column = features[:, feature]
+            thresholds = self._grids[feature]
+            if len(thresholds) == 0:
+                continue
+            mask = column[:, None] <= thresholds[None, :]
+            left_count = mask.sum(axis=0)
+            valid = (left_count > 0) & (left_count < n_rows)
+            if not valid.any():
+                continue
+            left_sum = targets @ mask
+            right_count = n_rows - left_count
+            right_sum = total_sum - left_sum
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sse = (total_sq
+                       - np.where(valid, left_sum ** 2 / left_count, 0.0)
+                       - np.where(valid, right_sum ** 2 / right_count, 0.0))
+            sse[~valid] = np.inf
+            index = int(np.argmin(sse))
+            if np.isfinite(sse[index]) and (best is None
+                                            or sse[index] < best[0]):
+                best = (float(sse[index]), int(feature),
+                        float(thresholds[index]))
+
+        if best is None:
+            return models._Node(value=node_value)
+        _, feature, threshold = best
+        mask = features[:, feature] <= threshold
+        return models._Node(
+            feature=feature, threshold=threshold, value=node_value,
+            left=self._build(features[mask], targets[mask], depth + 1, rng),
+            right=self._build(features[~mask], targets[~mask], depth + 1,
+                              rng))
+
+
+def node_bits(tree):
+    """(feature, threshold bits, value bits) of every node, in preorder."""
+    bits, stack = [], [tree.root_]
+    while stack:
+        node = stack.pop()
+        bits.append((node.feature, node.threshold.hex(), node.value.hex()))
+        if not node.is_leaf:
+            stack += [node.right, node.left]
+    return bits
+
+
+def assert_same_tree(tree, reference):
+    assert tree.node_count_ == reference.node_count_
+    assert node_bits(tree) == node_bits(reference)
+
+
+@st.composite
+def split_problems(draw):
+    """Random fits whose grids come in several widths: integer-valued
+    columns tie quantiles and constant columns collapse to one."""
+    n_rows = draw(st.integers(4, 300))
+    n_cols = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["real", "integer",
+                                               "constant"]),
+                              min_size=n_cols, max_size=n_cols)):
+        if kind == "real":
+            columns.append(rng.normal(size=n_rows))
+        elif kind == "integer":
+            columns.append(
+                rng.integers(0, rng.integers(2, 8), n_rows).astype(float))
+        else:
+            columns.append(np.full(n_rows, rng.normal()))
+    features = np.column_stack(columns)
+    if draw(st.booleans()):
+        targets = rng.integers(0, 4, n_rows).astype(float)   # tied
+    else:
+        targets = rng.normal(0.0, 10.0, n_rows)
+    params = dict(max_depth=draw(st.integers(1, 12)),
+                  min_samples_split=draw(st.integers(2, 10)),
+                  max_features=draw(st.none() | st.integers(1, 40)),
+                  n_thresholds=draw(st.integers(1, 15)),
+                  seed=draw(st.integers(0, 2 ** 31 - 1)))
+    return features, targets, params
+
+
+@given(split_problems())
+@settings(max_examples=60, deadline=None)
+def test_stacked_split_search_grows_the_reference_tree(problem):
+    features, targets, params = problem
+    tree = DecisionTreeRegressor(**params).fit(features, targets)
+    reference = ReferenceTree(**params).fit(features, targets)
+    assert_same_tree(tree, reference)
+    probes = np.vstack([features, features + 0.25])
+    assert np.array_equal(tree.predict(probes), reference.predict(probes))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_trained_forests_equal_the_reference(monkeypatch, seed):
+    """Every forest the small ML workload trains is the one the
+    per-column loop grows, so every validation error and the selected
+    model are the same too."""
+    workload = MLWorkload("small", seed)
+    trained = workload.trained
+    pipeline = workload.pipeline
+    reduced = reduce_dimensions(prepare_data(workload.train_dataset).matrix,
+                                pipeline.n_components)
+    split = split_for_validation(reduced.matrix,
+                                 workload.train_dataset.prices,
+                                 seed=pipeline.seed)
+    # the forest's bootstrap, grown with reference trees
+    monkeypatch.setattr(models, "DecisionTreeRegressor", ReferenceTree)
+    references = [train_candidate(result.candidate, *split)
+                  if result.candidate.algorithm == "random_forest"
+                  else result for result in trained.results]
+    forests = 0
+    for result, reference in zip(trained.results, references):
+        assert result.error.hex() == reference.error.hex()
+        if result is not reference:
+            forests += 1
+            assert len(result.model.trees_) == len(reference.model.trees_)
+            for tree, reference_tree in zip(result.model.trees_,
+                                            reference.model.trees_):
+                assert_same_tree(tree, reference_tree)
+            assert np.array_equal(result.model.predict(split[2]),
+                                  reference.model.predict(split[2]))
+    assert forests == 1
+    assert (select_best(references).candidate.name
+            == trained.best.candidate.name)
